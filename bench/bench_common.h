@@ -75,11 +75,6 @@ struct BenchContext {
   std::size_t threads = 0;  // 0 = hardware concurrency
   double target_sem = 0.0;  // 0 = run the full trial budget
   std::string json_path;    // empty = no JSON report
-  // --execution bitsliced|scalar: trial execution mode for estimate_ppc
-  // (the bit-sliced 64-trials-per-word kernel where eligible, vs. always
-  // the scalar per-trial path).  Results are bit-identical either way --
-  // CI's bench-smoke job cmp's the two JSONs to prove it.
-  Execution execution = Execution::kBitSliced;
   // --simd auto|avx512|avx2|neon|portable|off: instruction set for the
   // bit-sliced kernels (core/engine/simd.h).  Results are bit-identical
   // across ISAs -- CI cmp's --simd portable against --simd auto -- so this
@@ -172,7 +167,6 @@ struct BenchContext {
     options.threads = threads;
     options.target_sem = target_sem;
     options.seed = seed + 0x9e3779b97f4a7c15ULL * stream;
-    options.execution = execution;
     options.simd = simd;
     return options;
   }
@@ -235,16 +229,6 @@ inline BenchContext parse_context(int argc, char** argv) {
   ctx.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
   ctx.target_sem = flags.get_double("target-sem", 0.0);
   ctx.json_path = flags.get_string("json", "");
-  const std::string execution = flags.get_string("execution", "bitsliced");
-  if (execution == "bitsliced") {
-    ctx.execution = Execution::kBitSliced;
-  } else if (execution == "scalar") {
-    ctx.execution = Execution::kScalar;
-  } else {
-    std::cerr << "--execution must be 'bitsliced' or 'scalar', got '"
-              << execution << "'\n";
-    std::exit(2);
-  }
   const std::string simd = flags.get_string("simd", "auto");
   if (!parse_simd_isa(simd, &ctx.simd)) {
     std::cerr << "--simd must be one of auto/avx512/avx2/neon/portable/off, "
@@ -341,7 +325,7 @@ inline BenchContext parse_context(int argc, char** argv) {
   if (!unused.empty()) {
     std::cerr << "unknown flag --" << unused.front()
               << " (supported: --seed --trials --quick --threads "
-                 "--target-sem --execution --simd --json --workers --checkpoint "
+                 "--target-sem --simd --json --workers --checkpoint "
                  "--resume --readmit --point --family --size --listen "
                  "--connect --dial --net-timeout --net-heartbeat "
                  "--net-idle-timeout --no-local-fallback --standby "

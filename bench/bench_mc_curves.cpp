@@ -8,8 +8,8 @@
 // same family/size blocks, same p grid, and the same CRN-preserving seed
 // derivation (core/sweep/sweep_spec.h), so exact and MC rows line up by
 // (family, size, p) and curves along p share their random streams.  Every
-// estimate runs on the zero-allocation engine hot path
-// (core/engine/trial_workspace.h); results are bit-identical for any
+// estimate runs on the engine's bit-sliced batch kernels
+// (core/engine/batch_kernel.h); results are bit-identical for any
 // --threads or --workers value, which CI's bench-smoke job re-checks by
 // diffing the JSON of two thread counts.
 //

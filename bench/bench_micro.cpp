@@ -119,15 +119,10 @@ BENCHMARK(BM_ExactTreeExpectation)->Arg(8)->Arg(12)->Arg(16);
 
 // --- Probe-throughput suite ----------------------------------------------
 // Trials/sec of one full Monte-Carlo trial (coloring sample + probe run)
-// per family, on three paths:
-//  * Generic: the pre-workspace shape of the trial -- a fresh coloring, a
-//    fresh session answering probes through a type-erased std::function
-//    oracle, and the legacy ProbeStrategy::run() entry point with its
-//    per-call scratch.
-//  * Hot: the zero-allocation scalar path -- one TrialWorkspace, colorings
-//    refilled in place from batched word-level sampling
-//    (sample_iid_coloring_words), and the scratch-aware run_with() entry
-//    point.
+// per family, on the engine's two paths:
+//  * Ref: the reference path -- colorings refilled in place from batched
+//    word-level sampling (sample_iid_coloring_words) into one reused
+//    TrialWorkspace, and ProbeStrategy::run() on its reused session.
 //  * Batch: the bit-sliced 64-trials-per-word kernel
 //    (core/engine/batch_kernel.h) pinned to the single-word table
 //    (--simd off's shape) -- transposed colorings, mask-arithmetic lane
@@ -137,29 +132,17 @@ BENCHMARK(BM_ExactTreeExpectation)->Arg(8)->Arg(12)->Arg(16);
 //    strategies -- the Batch/Simd pair isolates the widening win.
 //  * RandBatch: the batch kernel (best ISA) on the randomized-order
 //    strategies, which pre-draw per-lane permutations / plans and run on
-//    permuted colorings -- paired with Hot on the same strategy.
-// items_per_second is trials/sec.  CI pairs Generic/Hot, Hot/Batch,
-// Batch/Simd and Hot/RandBatch by suffix
-// (bench/probe_throughput_schema.py), records the hot_vs_generic,
-// batch_vs_hot, simd_vs_batch and randomized_batch_vs_hot speedup series
+//    permuted colorings -- paired with Ref on the same strategy.
+// items_per_second is trials/sec.  CI pairs Ref/Batch, Batch/Simd and
+// Ref/RandBatch by suffix (bench/probe_throughput_schema.py), records the
+// batch_vs_ref, simd_vs_batch and randomized_batch_vs_ref speedup series
 // under stable metric names in BENCH_micro_probe.json, and gates every
 // speedup > 1.
 
-void run_generic_trials(benchmark::State& state, const QuorumSystem& system,
-                        const ProbeStrategy& strategy, double p) {
-  const std::size_t n = system.universe_size();
-  Rng rng(17);
-  for (auto _ : state) {
-    const Coloring c = sample_iid_coloring(n, p, rng);
-    ProbeSession session(n, [&c](Element e) { return c.color(e); });
-    benchmark::DoNotOptimize(strategy.run(session, rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void run_hot_trials(benchmark::State& state, const QuorumSystem& system,
+void run_ref_trials(benchmark::State& state, const QuorumSystem& system,
                     const ProbeStrategy& strategy, double p) {
   const std::size_t n = system.universe_size();
+  const std::size_t stride = (n + 63) / 64;
   constexpr std::size_t kBatch = 1024;
   TrialWorkspace ws(n);
   Rng rng(17);
@@ -170,9 +153,9 @@ void run_hot_trials(benchmark::State& state, const QuorumSystem& system,
       sample_iid_coloring_words(masks, kBatch, n, p, rng);
       next = 0;
     }
-    ws.coloring().assign_greens_mask(masks[next++]);
+    ws.coloring().assign_greens_words(masks + stride * next++);
     ProbeSession& session = ws.begin_trial(ws.coloring());
-    benchmark::DoNotOptimize(strategy.run_with(ws, session, rng));
+    benchmark::DoNotOptimize(strategy.run(session, rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -208,19 +191,12 @@ void run_batch_trials(benchmark::State& state, const QuorumSystem& system,
                           static_cast<std::int64_t>(lanes));
 }
 
-void BM_ProbeTrials_Generic_Maj63(benchmark::State& state) {
+void BM_ProbeTrials_Ref_Maj63(benchmark::State& state) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
-  run_generic_trials(state, maj, strategy, 0.5);
+  run_ref_trials(state, maj, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Generic_Maj63);
-
-void BM_ProbeTrials_Hot_Maj63(benchmark::State& state) {
-  const MajoritySystem maj(63);
-  const ProbeMaj strategy(maj);
-  run_hot_trials(state, maj, strategy, 0.5);
-}
-BENCHMARK(BM_ProbeTrials_Hot_Maj63);
+BENCHMARK(BM_ProbeTrials_Ref_Maj63);
 
 void BM_ProbeTrials_Batch_Maj63(benchmark::State& state) {
   const MajoritySystem maj(63);
@@ -236,42 +212,28 @@ void BM_ProbeTrials_Simd_Maj63(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Simd_Maj63);
 
-void BM_ProbeTrials_Generic_RMaj63(benchmark::State& state) {
+void BM_ProbeTrials_Ref_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
-  run_generic_trials(state, maj, strategy, 0.5);
+  run_ref_trials(state, maj, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Generic_RMaj63);
+BENCHMARK(BM_ProbeTrials_Ref_RMaj63);
 
-void BM_ProbeTrials_Hot_RMaj63(benchmark::State& state) {
-  const MajoritySystem maj(63);
-  const RProbeMaj strategy(maj);
-  run_hot_trials(state, maj, strategy, 0.5);
-}
-BENCHMARK(BM_ProbeTrials_Hot_RMaj63);
-
-void BM_ProbeTrials_Generic_Tree63(benchmark::State& state) {
-  const TreeSystem tree(5);  // n = 63
-  const RProbeTree strategy(tree);
-  run_generic_trials(state, tree, strategy, 0.5);
-}
-BENCHMARK(BM_ProbeTrials_Generic_Tree63);
-
-void BM_ProbeTrials_Hot_Tree63(benchmark::State& state) {
+void BM_ProbeTrials_Ref_Tree63(benchmark::State& state) {
   const TreeSystem tree(5);
   const RProbeTree strategy(tree);
-  run_hot_trials(state, tree, strategy, 0.5);
+  run_ref_trials(state, tree, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Hot_Tree63);
+BENCHMARK(BM_ProbeTrials_Ref_Tree63);
 
-// Deterministic-order tree / cw probers: the Hot/Batch pair measures the
-// bit-sliced kernel against the scalar hot path on the same strategy.
-void BM_ProbeTrials_Hot_DetTree63(benchmark::State& state) {
+// Deterministic-order tree / cw probers: the Ref/Batch pair measures the
+// bit-sliced kernel against the reference path on the same strategy.
+void BM_ProbeTrials_Ref_DetTree63(benchmark::State& state) {
   const TreeSystem tree(5);  // n = 63
   const ProbeTree strategy(tree);
-  run_hot_trials(state, tree, strategy, 0.5);
+  run_ref_trials(state, tree, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Hot_DetTree63);
+BENCHMARK(BM_ProbeTrials_Ref_DetTree63);
 
 void BM_ProbeTrials_Batch_DetTree63(benchmark::State& state) {
   const TreeSystem tree(5);
@@ -287,19 +249,12 @@ void BM_ProbeTrials_Simd_DetTree63(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Simd_DetTree63);
 
-void BM_ProbeTrials_Generic_Hqs27(benchmark::State& state) {
-  const HQSystem hqs(3);  // n = 27
-  const ProbeHQS strategy(hqs);
-  run_generic_trials(state, hqs, strategy, 0.5);
-}
-BENCHMARK(BM_ProbeTrials_Generic_Hqs27);
-
-void BM_ProbeTrials_Hot_Hqs27(benchmark::State& state) {
+void BM_ProbeTrials_Ref_Hqs27(benchmark::State& state) {
   const HQSystem hqs(3);
   const ProbeHQS strategy(hqs);
-  run_hot_trials(state, hqs, strategy, 0.5);
+  run_ref_trials(state, hqs, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Hot_Hqs27);
+BENCHMARK(BM_ProbeTrials_Ref_Hqs27);
 
 void BM_ProbeTrials_Batch_Hqs27(benchmark::State& state) {
   const HQSystem hqs(3);
@@ -315,26 +270,19 @@ void BM_ProbeTrials_Simd_Hqs27(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Simd_Hqs27);
 
-void BM_ProbeTrials_Generic_Cw55(benchmark::State& state) {
-  const CrumblingWall wall = CrumblingWall::triang(10);  // n = 55
-  const RProbeCW strategy(wall);
-  run_generic_trials(state, wall, strategy, 0.5);
-}
-BENCHMARK(BM_ProbeTrials_Generic_Cw55);
-
-void BM_ProbeTrials_Hot_Cw55(benchmark::State& state) {
+void BM_ProbeTrials_Ref_Cw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);
   const RProbeCW strategy(wall);
-  run_hot_trials(state, wall, strategy, 0.5);
+  run_ref_trials(state, wall, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Hot_Cw55);
+BENCHMARK(BM_ProbeTrials_Ref_Cw55);
 
-void BM_ProbeTrials_Hot_DetCw55(benchmark::State& state) {
+void BM_ProbeTrials_Ref_DetCw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);  // n = 55
   const ProbeCW strategy(wall);
-  run_hot_trials(state, wall, strategy, 0.5);
+  run_ref_trials(state, wall, strategy, 0.5);
 }
-BENCHMARK(BM_ProbeTrials_Hot_DetCw55);
+BENCHMARK(BM_ProbeTrials_Ref_DetCw55);
 
 void BM_ProbeTrials_Batch_DetCw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);
@@ -351,8 +299,8 @@ void BM_ProbeTrials_Simd_DetCw55(benchmark::State& state) {
 BENCHMARK(BM_ProbeTrials_Simd_DetCw55);
 
 // Randomized-order strategies through the batch kernel (pre-drawn
-// per-lane permutations / plans, best ISA), paired with Hot on the same
-// strategy: the randomized_batch_vs_hot series.
+// per-lane permutations / plans, best ISA), paired with Ref on the same
+// strategy: the randomized_batch_vs_ref series.
 void BM_ProbeTrials_RandBatch_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
@@ -375,9 +323,8 @@ void BM_ProbeTrials_RandBatch_Cw55(benchmark::State& state) {
 BENCHMARK(BM_ProbeTrials_RandBatch_Cw55);
 
 // Engine-level counterpart: estimate_ppc end to end -- the generic run()
-// lambda, the scalar workspace hot path (the PR 4 default, pinned with
-// Execution::kScalar), and the bit-sliced batch kernel the engine now
-// takes by default.
+// lambda (a fresh coloring and session per trial) against the bit-sliced
+// batch kernel the engine takes for a strategy that has one.
 void BM_EstimatePpcGenericLambda(benchmark::State& state) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
@@ -398,22 +345,6 @@ void BM_EstimatePpcGenericLambda(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatePpcGenericLambda);
 
-void BM_EstimatePpcHotPath(benchmark::State& state) {
-  const MajoritySystem maj(63);
-  const ProbeMaj strategy(maj);
-  EngineOptions options;
-  options.trials = 16384;
-  options.threads = 1;
-  options.seed = 23;
-  options.execution = Execution::kScalar;  // the scalar hot path, explicitly
-  const ParallelEstimator engine(options);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(engine.estimate_ppc(maj, strategy, 0.5).mean());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(options.trials));
-}
-BENCHMARK(BM_EstimatePpcHotPath);
-
 void BM_EstimatePpcBitSliced(benchmark::State& state) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
@@ -421,7 +352,7 @@ void BM_EstimatePpcBitSliced(benchmark::State& state) {
   options.trials = 16384;
   options.threads = 1;
   options.seed = 23;
-  const ParallelEstimator engine(options);  // kBitSliced is the default
+  const ParallelEstimator engine(options);
   for (auto _ : state)
     benchmark::DoNotOptimize(engine.estimate_ppc(maj, strategy, 0.5).mean());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -9,12 +9,11 @@ names -- `probe_trials/<Case>/<path>_trials_per_sec` and
 machine-comparable PR-over-PR instead of raw benchmark dumps.
 
 Benchmarks pair up by suffix:
-  BM_ProbeTrials_Generic_X / BM_ProbeTrials_Hot_X  -> speedup/hot_vs_generic/X
-  BM_ProbeTrials_Hot_X     / BM_ProbeTrials_Batch_X -> speedup/batch_vs_hot/X
+  BM_ProbeTrials_Ref_X     / BM_ProbeTrials_Batch_X -> speedup/batch_vs_ref/X
   BM_ProbeTrials_Batch_X   / BM_ProbeTrials_Simd_X  -> speedup/simd_vs_batch/X
-  BM_ProbeTrials_Hot_X     / BM_ProbeTrials_RandBatch_X
-                           -> speedup/randomized_batch_vs_hot/X
-  BM_EstimatePpcGenericLambda / BM_EstimatePpcHotPath / BM_EstimatePpcBitSliced
+  BM_ProbeTrials_Ref_X     / BM_ProbeTrials_RandBatch_X
+                           -> speedup/randomized_batch_vs_ref/X
+  BM_EstimatePpcGenericLambda / BM_EstimatePpcBitSliced
                            -> the engine end-to-end series
 The Batch tier pins --simd off (one lane word) so simd_vs_batch isolates the
 wide-ISA gain; Simd and RandBatch run whatever ISA the dispatcher picks.
@@ -24,7 +23,7 @@ the job); the exit code doubles as the CI gate.
 import json
 import sys
 
-GENERIC, HOT, BATCH = "_Generic_", "_Hot_", "_Batch_"
+REF, BATCH = "_Ref_", "_Batch_"
 SIMD, RANDBATCH = "_Simd_", "_RandBatch_"
 
 
@@ -55,10 +54,8 @@ def main() -> int:
         return speedup
 
     for name in sorted(rate):
-        if GENERIC in name:
-            record(case_of(name, GENERIC), "generic", rate[name])
-        elif HOT in name:
-            record(case_of(name, HOT), "hot", rate[name])
+        if REF in name:
+            record(case_of(name, REF), "ref", rate[name])
         elif BATCH in name:
             record(case_of(name, BATCH), "batch", rate[name])
         elif SIMD in name:
@@ -66,41 +63,32 @@ def main() -> int:
         elif RANDBATCH in name:
             record(case_of(name, RANDBATCH), "randomized_batch", rate[name])
 
-    # Pairing is strict: a Generic benchmark without its Hot counterpart, a
-    # Batch one without its Hot baseline, a Simd one without its off-ISA
-    # Batch twin, or a RandBatch one without its scalar Hot baseline, is a
-    # broken suite and must fail the job (KeyError), not silently drop the
-    # gate.
+    # Pairing is strict: a Batch benchmark without its Ref baseline, a Simd
+    # one without its off-ISA Batch twin, or a RandBatch one without its Ref
+    # baseline, is a broken suite and must fail the job (KeyError), not
+    # silently drop the gate.
     for name in sorted(rate):
-        if GENERIC in name:
-            case = case_of(name, GENERIC)
-            gate("hot_vs_generic", case, rate[name.replace(GENERIC, HOT)],
-                 rate[name])
-        elif BATCH in name:
+        if BATCH in name:
             case = case_of(name, BATCH)
-            gate("batch_vs_hot", case, rate[name],
-                 rate[name.replace(BATCH, HOT)])
+            gate("batch_vs_ref", case, rate[name],
+                 rate[name.replace(BATCH, REF)])
         elif SIMD in name:
             case = case_of(name, SIMD)
             gate("simd_vs_batch", case, rate[name],
                  rate[name.replace(SIMD, BATCH)])
         elif RANDBATCH in name:
             case = case_of(name, RANDBATCH)
-            gate("randomized_batch_vs_hot", case, rate[name],
-                 rate[name.replace(RANDBATCH, HOT)])
+            gate("randomized_batch_vs_ref", case, rate[name],
+                 rate[name.replace(RANDBATCH, REF)])
 
-    # Engine end-to-end (estimate_ppc on Maj63): generic lambda vs. scalar
-    # hot path vs. the bit-sliced default.
+    # Engine end-to-end (estimate_ppc on Maj63): the generic run() lambda
+    # vs. the bit-sliced default.
     metrics["engine/estimate_ppc/generic_trials_per_sec"] = \
         rate["BM_EstimatePpcGenericLambda"]
-    metrics["engine/estimate_ppc/hot_trials_per_sec"] = \
-        rate["BM_EstimatePpcHotPath"]
     metrics["engine/estimate_ppc/bitsliced_trials_per_sec"] = \
         rate["BM_EstimatePpcBitSliced"]
-    gate("engine_hot_vs_generic", "EstimatePpc",
-         rate["BM_EstimatePpcHotPath"], rate["BM_EstimatePpcGenericLambda"])
-    gate("engine_batch_vs_hot", "EstimatePpc",
-         rate["BM_EstimatePpcBitSliced"], rate["BM_EstimatePpcHotPath"])
+    gate("engine_batch_vs_ref", "EstimatePpc",
+         rate["BM_EstimatePpcBitSliced"], rate["BM_EstimatePpcGenericLambda"])
 
     report = {
         "experiment": "micro_probe",

@@ -1,8 +1,8 @@
 #include "core/algorithms/greedy.h"
 
+#include <array>
 #include <bit>
 
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
@@ -19,34 +19,28 @@ GreedyCandidateProbe::GreedyCandidateProbe(const QuorumSystem& system)
 }
 
 Witness GreedyCandidateProbe::run(ProbeSession& session, Rng& /*rng*/) const {
-  // Legacy self-contained entry point: per-call scratch, as the
-  // ProbeStrategy contract allows.  The hot path goes through run_with,
-  // whose scratch is owned by the caller's TrialWorkspace -- no hidden
-  // per-thread state whose growth outlives the call.
-  std::vector<std::uint64_t> live, dead, unhit;
-  return run_masks(session, live, dead, unhit);
+  if (mask_words_ <= kInlineMaskWords) {
+    std::array<std::uint64_t, 3 * kInlineMaskWords> scratch{};
+    return run_masks(session, scratch.data());
+  }
+  std::vector<std::uint64_t> scratch(3 * mask_words_);
+  return run_masks(session, scratch.data());
 }
 
-Witness GreedyCandidateProbe::run_with(TrialWorkspace& workspace,
-                                       ProbeSession& session,
-                                       Rng& /*rng*/) const {
-  return run_masks(session, workspace.word_buffer(0), workspace.word_buffer(1),
-                   workspace.word_buffer(2));
-}
-
-Witness GreedyCandidateProbe::run_masks(
-    ProbeSession& session, std::vector<std::uint64_t>& live,
-    std::vector<std::uint64_t>& dead,
-    std::vector<std::uint64_t>& unhit) const {
+Witness GreedyCandidateProbe::run_masks(ProbeSession& session,
+                                        std::uint64_t* scratch) const {
   const std::size_t n = system_->universe_size();
   const std::size_t words = mask_words_;
   // A quorum is a live candidate while none of its elements probed red; a
   // dead candidate (candidate red quorum) while none probed green; unhit
   // while disjoint from the probed reds.  All-ones start, zero tail bits.
-  const auto fill_all = [&](std::vector<std::uint64_t>& mask) {
-    mask.assign(words, ~0ULL);
+  std::uint64_t* live = scratch;
+  std::uint64_t* dead = scratch + words;
+  std::uint64_t* unhit = scratch + 2 * words;
+  const auto fill_all = [&](std::uint64_t* mask) {
+    for (std::size_t w = 0; w < words; ++w) mask[w] = ~0ULL;
     const std::size_t tail = quorums_.size() % 64;
-    if (tail != 0) mask.back() = (1ULL << tail) - 1;
+    if (tail != 0) mask[words - 1] = (1ULL << tail) - 1;
   };
   fill_all(live);
   fill_all(dead);

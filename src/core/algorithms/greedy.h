@@ -10,10 +10,10 @@
 // element, the word-mask of quorums containing it, and a run tracks the
 // live / dead / not-yet-blocked candidate sets as word masks, so the
 // density scoring is popcounts instead of per-quorum membership tests.
-// On the hot path (run_with) the per-run masks live in the caller's
-// TrialWorkspace, so steady-state trials allocate nothing and all scratch
-// ownership is explicit; the legacy run() entry point allocates its
-// scratch per call.
+// The strategy has no batch kernel (its next probe depends on every color
+// seen so far), so run() is the engine's path: the per-run masks live on
+// the stack while the quorum list fits kInlineMaskWords words, and a run
+// then allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,14 @@ class GreedyCandidateProbe final : public ProbeStrategy {
 
   std::string name() const override { return "Greedy_Candidate"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
 
  private:
-  Witness run_masks(ProbeSession& session, std::vector<std::uint64_t>& live,
-                    std::vector<std::uint64_t>& dead,
-                    std::vector<std::uint64_t>& unhit) const;
+  /// Words per candidate mask kept on the stack (up to 1024 quorums).
+  static constexpr std::size_t kInlineMaskWords = 16;
+
+  /// The greedy loop over caller-provided scratch of 3 * mask_words_ words
+  /// (the live, dead and unhit masks, in that order).
+  Witness run_masks(ProbeSession& session, std::uint64_t* scratch) const;
 
   const QuorumSystem* system_;
   std::vector<ElementSet> quorums_;

@@ -5,63 +5,98 @@
 #include <vector>
 
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
 
 namespace {
 
-// Result of evaluating one gate: its boolean value and the supporting
-// leaves (two agreeing child supports per gate).  Supports of sibling
-// subtrees are disjoint, so unions are concatenations.
-struct Eval {
-  bool value = false;
-  std::vector<Element> support;
+// A gate's supporting leaves: two agreeing child supports per gate.
+// Supports of sibling subtrees are disjoint, so a union is an OR of word
+// masks (MaskSupport, universes of at most 64 leaves) or a concatenation
+// (VectorSupport, any universe).  Every evaluation below is written once
+// against this pair and run() picks the mask form when the universe fits
+// one word, so it allocates nothing there.
+struct MaskSupport {
+  std::uint64_t bits = 0;
+
+  static MaskSupport leaf(Element e) { return {1ULL << e}; }
+  void add(const MaskSupport& other) { bits |= other.bits; }
+  ElementSet to_set(std::size_t n) const {
+    return ElementSet::from_mask(n, bits);
+  }
 };
 
-Eval leaf_eval(Element leaf, ProbeSession& session) {
-  return {session.probe(leaf) == Color::kGreen, {leaf}};
-}
+struct VectorSupport {
+  std::vector<Element> elems;
 
-void append(Eval& into, const Eval& from) {
-  into.support.insert(into.support.end(), from.support.begin(),
-                      from.support.end());
+  static VectorSupport leaf(Element e) { return {{e}}; }
+  void add(const VectorSupport& other) {
+    elems.insert(elems.end(), other.elems.begin(), other.elems.end());
+  }
+  ElementSet to_set(std::size_t n) const {
+    ElementSet set(n);
+    for (Element e : elems) set.insert(e);
+    return set;
+  }
+};
+
+// Result of evaluating one gate: its boolean value and its support.
+template <typename Support>
+struct Eval {
+  bool value = false;
+  Support support;
+};
+
+template <typename Support>
+Eval<Support> leaf_eval(Element leaf, ProbeSession& session) {
+  return {session.probe(leaf) == Color::kGreen, Support::leaf(leaf)};
 }
 
 /// Merges two agreeing child evaluations into the parent's evaluation.
-Eval merge_pair(Eval a, const Eval& b) {
+template <typename Support>
+Eval<Support> merge_pair(Eval<Support> a, const Eval<Support>& b) {
   QPS_CHECK(a.value == b.value, "merge_pair needs agreeing children");
-  append(a, b);
+  a.support.add(b.support);
   return a;
 }
 
 /// Given three child evaluations where the first two disagree, the gate
 /// value is the third child's; support = third + the matching sibling.
-Eval merge_tiebreak(const Eval& first, const Eval& second, Eval third) {
+template <typename Support>
+Eval<Support> merge_tiebreak(const Eval<Support>& first,
+                             const Eval<Support>& second,
+                             Eval<Support> third) {
   QPS_CHECK(first.value != second.value, "tiebreak needs a disagreement");
-  append(third, first.value == third.value ? first : second);
+  third.support.add(first.value == third.value ? first.support
+                                               : second.support);
   return third;
 }
 
-Witness materialize(const Eval& eval, std::size_t n) {
-  Witness w;
-  w.color = eval.value ? Color::kGreen : Color::kRed;
-  w.elements = ElementSet(n);
-  for (Element e : eval.support) w.elements.insert(e);
-  return w;
+/// Runs `evaluate(Support{})` with the storage that fits a universe of `n`
+/// leaves and turns the root evaluation into a witness.
+template <typename Evaluate>
+Witness evaluate_root(std::size_t n, Evaluate&& evaluate) {
+  const auto materialize = [n](const auto& eval) {
+    return Witness{eval.value ? Color::kGreen : Color::kRed,
+                   eval.support.to_set(n)};
+  };
+  if (n <= 64) return materialize(evaluate(MaskSupport{}));
+  return materialize(evaluate(VectorSupport{}));
 }
 
 // ---------------------------------------------------------------- Probe_HQS
 
-Eval probe_hqs_rec(std::size_t level, std::size_t index,
-                   ProbeSession& session) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
-  Eval first = probe_hqs_rec(level - 1, index * 3, session);
-  Eval second = probe_hqs_rec(level - 1, index * 3 + 1, session);
+template <typename Support>
+Eval<Support> probe_hqs_rec(std::size_t level, std::size_t index,
+                            ProbeSession& session) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
+  auto first = probe_hqs_rec<Support>(level - 1, index * 3, session);
+  auto second = probe_hqs_rec<Support>(level - 1, index * 3 + 1, session);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = probe_hqs_rec(level - 1, index * 3 + 2, session);
+  auto third = probe_hqs_rec<Support>(level - 1, index * 3 + 2, session);
   return merge_tiebreak(first, second, std::move(third));
 }
 
@@ -77,93 +112,88 @@ std::size_t hqs_gate(std::size_t height, std::size_t level,
   return (pow3 - 1) / 2 + index;
 }
 
-// R_Probe_HQS pre-draws one random child order per gate, in gate-id order,
-// BEFORE the recursion starts: the draw sequence is then independent of the
-// trial's control flow (which gates get visited), so the bit-sliced batch
-// path can replicate it lane by lane and stay stream-identical to the
-// scalar loop.  Unvisited gates' orders are simply never read.  Each
-// gate's order is encoded as first*3 + second (relative child indices;
-// third = 3 - first - second).
-class HqsOrderBuffer {
- public:
-  /// Fills one shuffled order per gate ((n-1)/2 gates) and returns the
-  /// buffer.  Stack storage up to 512 gates -- height 6, n = 729 -- so the
-  /// n <= 64 hot path stays allocation-free.
-  const std::uint8_t* draw(const HQSystem& hqs, Rng& rng) {
-    const std::size_t gates = (hqs.universe_size() - 1) / 2;
-    std::uint8_t* orders = stack_.data();
-    if (gates > stack_.size()) {
-      heap_.resize(gates);
-      orders = heap_.data();
-    }
-    for (std::size_t g = 0; g < gates; ++g) {
-      std::array<std::uint8_t, 3> ord = {0, 1, 2};
-      rng.shuffle_array(ord);
-      orders[g] = static_cast<std::uint8_t>(ord[0] * 3 + ord[1]);
-    }
-    return orders;
+// R_Probe_HQS pre-draws one random child order per gate ((n-1)/2 gates), in
+// gate-id order, BEFORE the recursion starts: the draw sequence is then
+// independent of the trial's control flow (which gates get visited), so
+// the bit-sliced batch path can replicate it lane by lane and stay
+// stream-identical to run().  Unvisited gates' orders are simply never
+// read.  Each gate's order is encoded as first*3 + second (relative child
+// indices; third = 3 - first - second).
+std::vector<std::uint8_t> draw_gate_orders(const HQSystem& hqs, Rng& rng) {
+  std::vector<std::uint8_t> orders((hqs.universe_size() - 1) / 2);
+  for (auto& code : orders) {
+    std::array<std::uint8_t, 3> ord = {0, 1, 2};
+    rng.shuffle_array(ord);
+    code = static_cast<std::uint8_t>(ord[0] * 3 + ord[1]);
   }
+  return orders;
+}
 
- private:
-  std::array<std::uint8_t, 512> stack_;
-  std::vector<std::uint8_t> heap_;
-};
-
-Eval r_probe_hqs_rec(std::size_t height, std::size_t level, std::size_t index,
-                     ProbeSession& session, const std::uint8_t* orders) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
+template <typename Support>
+Eval<Support> r_probe_hqs_rec(std::size_t height, std::size_t level,
+                              std::size_t index, ProbeSession& session,
+                              const std::uint8_t* orders) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
   const std::uint8_t code = orders[hqs_gate(height, level, index)];
   const std::size_t c0 = code / 3;
   const std::size_t c1 = code % 3;
   const std::size_t c2 = 3 - c0 - c1;
-  Eval first = r_probe_hqs_rec(height, level - 1, index * 3 + c0, session,
-                               orders);
-  Eval second = r_probe_hqs_rec(height, level - 1, index * 3 + c1, session,
-                                orders);
+  auto first = r_probe_hqs_rec<Support>(height, level - 1, index * 3 + c0,
+                                        session, orders);
+  auto second = r_probe_hqs_rec<Support>(height, level - 1, index * 3 + c1,
+                                         session, orders);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = r_probe_hqs_rec(height, level - 1, index * 3 + c2, session,
-                               orders);
+  auto third = r_probe_hqs_rec<Support>(height, level - 1, index * 3 + c2,
+                                        session, orders);
   return merge_tiebreak(first, second, std::move(third));
 }
 
 // ------------------------------------------------------------- IR_Probe_HQS
 
-Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
-             Rng& rng);
+template <typename Support>
+Eval<Support> ir_eval(std::size_t level, std::size_t index,
+                      ProbeSession& session, Rng& rng);
 
 /// "Evaluate" a node per the paper: visit its children in a uniformly
 /// random order until the 2-of-3 value is determined, recursing with
 /// IR_Probe_HQS (so a height-(h-1) node issues calls at height h-2).
-Eval eval_node(std::size_t level, std::size_t index, ProbeSession& session,
-               Rng& rng) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
+template <typename Support>
+Eval<Support> eval_node(std::size_t level, std::size_t index,
+                        ProbeSession& session, Rng& rng) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
   std::array<std::size_t, 3> order = {index * 3, index * 3 + 1, index * 3 + 2};
   rng.shuffle_array(order);
-  Eval first = ir_eval(level - 1, order[0], session, rng);
-  Eval second = ir_eval(level - 1, order[1], session, rng);
+  auto first = ir_eval<Support>(level - 1, order[0], session, rng);
+  auto second = ir_eval<Support>(level - 1, order[1], session, rng);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = ir_eval(level - 1, order[2], session, rng);
+  auto third = ir_eval<Support>(level - 1, order[2], session, rng);
   return merge_tiebreak(first, second, std::move(third));
 }
 
 /// Finishes evaluating a node whose first-visited child `first` is already
 /// known; `rest` holds the other two children in their random visit order.
-Eval complete_node(std::size_t child_level, std::array<std::size_t, 2> rest,
-                   const Eval& first, ProbeSession& session, Rng& rng) {
-  Eval second = ir_eval(child_level, rest[0], session, rng);
+template <typename Support>
+Eval<Support> complete_node(std::size_t child_level,
+                            std::array<std::size_t, 2> rest,
+                            const Eval<Support>& first, ProbeSession& session,
+                            Rng& rng) {
+  auto second = ir_eval<Support>(child_level, rest[0], session, rng);
   if (first.value == second.value)
     return merge_pair(std::move(second), first);
-  Eval third = ir_eval(child_level, rest[1], session, rng);
+  auto third = ir_eval<Support>(child_level, rest[1], session, rng);
   return merge_tiebreak(first, second, std::move(third));
 }
 
 /// Fig. 8.  Heights 0/1 have no grandchildren and fall back to the plain
 /// random evaluation.
-Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
-             Rng& rng) {
-  if (level <= 1) return eval_node(level, index, session, rng);
+template <typename Support>
+Eval<Support> ir_eval(std::size_t level, std::size_t index,
+                      ProbeSession& session, Rng& rng) {
+  if (level <= 1) return eval_node<Support>(level, index, session, rng);
 
   std::array<std::size_t, 3> children = {index * 3, index * 3 + 1,
                                          index * 3 + 2};
@@ -173,160 +203,35 @@ Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
   const std::size_t r3 = children[2];
 
   // Step 2: fully evaluate the first child.
-  const Eval v1 = eval_node(level - 1, r1, session, rng);
+  const auto v1 = eval_node<Support>(level - 1, r1, session, rng);
 
   // Step 4: peek at one random grandchild of the second child.
   std::array<std::size_t, 3> grandchildren = {r2 * 3, r2 * 3 + 1, r2 * 3 + 2};
   rng.shuffle_array(grandchildren);
-  const Eval g1 = ir_eval(level - 2, grandchildren[0], session, rng);
+  const auto g1 = ir_eval<Support>(level - 2, grandchildren[0], session, rng);
   const std::array<std::size_t, 2> g_rest = {grandchildren[1],
                                              grandchildren[2]};
 
   if (g1.value == v1.value) {
     // Step 5: the peek supports r1's value; finish r2.
-    const Eval v2 = complete_node(level - 2, g_rest, g1, session, rng);
+    const auto v2 = complete_node(level - 2, g_rest, g1, session, rng);
     if (v2.value == v1.value) return merge_pair(v2, v1);
-    const Eval v3 = eval_node(level - 1, r3, session, rng);
+    const auto v3 = eval_node<Support>(level - 1, r3, session, rng);
     return merge_tiebreak(v1, v2, v3);
   }
   // Step 6: the peek contradicts r1; try the third child before finishing r2.
-  const Eval v3 = eval_node(level - 1, r3, session, rng);
+  const auto v3 = eval_node<Support>(level - 1, r3, session, rng);
   if (v3.value == v1.value) return merge_pair(v3, v1);
-  const Eval v2 = complete_node(level - 2, g_rest, g1, session, rng);
+  const auto v2 = complete_node(level - 2, g_rest, g1, session, rng);
   return merge_tiebreak(v1, v3, v2);
-}
-
-// ---- Word-level hot path (n <= 64) --------------------------------------
-// The same three evaluations with (value, support bitmask) results: sibling
-// supports are disjoint, so unions are single ORs and nothing is allocated.
-// Gate visit order and Rng draws are identical to the vector recursions
-// above, so both entry points agree probe-for-probe.
-
-struct MaskEval {
-  bool value = false;
-  std::uint64_t support = 0;
-};
-
-MaskEval leaf_eval_mask(Element leaf, ProbeSession& session) {
-  return {session.probe(leaf) == Color::kGreen, 1ULL << leaf};
-}
-
-MaskEval merge_pair_mask(MaskEval a, const MaskEval& b) {
-  QPS_CHECK(a.value == b.value, "merge_pair needs agreeing children");
-  a.support |= b.support;
-  return a;
-}
-
-MaskEval merge_tiebreak_mask(const MaskEval& first, const MaskEval& second,
-                             MaskEval third) {
-  QPS_CHECK(first.value != second.value, "tiebreak needs a disagreement");
-  third.support |= first.value == third.value ? first.support : second.support;
-  return third;
-}
-
-Witness materialize_mask(const MaskEval& eval, std::size_t n) {
-  Witness w;
-  w.color = eval.value ? Color::kGreen : Color::kRed;
-  w.elements = ElementSet::from_mask(n, eval.support);
-  return w;
-}
-
-MaskEval probe_hqs_rec_mask(std::size_t level, std::size_t index,
-                            ProbeSession& session) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  MaskEval first = probe_hqs_rec_mask(level - 1, index * 3, session);
-  MaskEval second = probe_hqs_rec_mask(level - 1, index * 3 + 1, session);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third = probe_hqs_rec_mask(level - 1, index * 3 + 2, session);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval r_probe_hqs_rec_mask(std::size_t height, std::size_t level,
-                              std::size_t index, ProbeSession& session,
-                              const std::uint8_t* orders) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  const std::uint8_t code = orders[hqs_gate(height, level, index)];
-  const std::size_t c0 = code / 3;
-  const std::size_t c1 = code % 3;
-  const std::size_t c2 = 3 - c0 - c1;
-  MaskEval first =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c0, session, orders);
-  MaskEval second =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c1, session, orders);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c2, session, orders);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval ir_eval_mask(std::size_t level, std::size_t index,
-                      ProbeSession& session, Rng& rng);
-
-MaskEval eval_node_mask(std::size_t level, std::size_t index,
-                        ProbeSession& session, Rng& rng) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  std::array<std::size_t, 3> order = {index * 3, index * 3 + 1, index * 3 + 2};
-  rng.shuffle_array(order);
-  MaskEval first = ir_eval_mask(level - 1, order[0], session, rng);
-  MaskEval second = ir_eval_mask(level - 1, order[1], session, rng);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third = ir_eval_mask(level - 1, order[2], session, rng);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval complete_node_mask(std::size_t child_level,
-                            std::array<std::size_t, 2> rest,
-                            const MaskEval& first, ProbeSession& session,
-                            Rng& rng) {
-  MaskEval second = ir_eval_mask(child_level, rest[0], session, rng);
-  if (first.value == second.value) return merge_pair_mask(second, first);
-  MaskEval third = ir_eval_mask(child_level, rest[1], session, rng);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval ir_eval_mask(std::size_t level, std::size_t index,
-                      ProbeSession& session, Rng& rng) {
-  if (level <= 1) return eval_node_mask(level, index, session, rng);
-
-  std::array<std::size_t, 3> children = {index * 3, index * 3 + 1,
-                                         index * 3 + 2};
-  rng.shuffle_array(children);
-  const std::size_t r1 = children[0];
-  const std::size_t r2 = children[1];
-  const std::size_t r3 = children[2];
-
-  const MaskEval v1 = eval_node_mask(level - 1, r1, session, rng);
-
-  std::array<std::size_t, 3> grandchildren = {r2 * 3, r2 * 3 + 1, r2 * 3 + 2};
-  rng.shuffle_array(grandchildren);
-  const MaskEval g1 = ir_eval_mask(level - 2, grandchildren[0], session, rng);
-  const std::array<std::size_t, 2> g_rest = {grandchildren[1],
-                                             grandchildren[2]};
-
-  if (g1.value == v1.value) {
-    const MaskEval v2 = complete_node_mask(level - 2, g_rest, g1, session, rng);
-    if (v2.value == v1.value) return merge_pair_mask(v2, v1);
-    const MaskEval v3 = eval_node_mask(level - 1, r3, session, rng);
-    return merge_tiebreak_mask(v1, v2, v3);
-  }
-  const MaskEval v3 = eval_node_mask(level - 1, r3, session, rng);
-  if (v3.value == v1.value) return merge_pair_mask(v3, v1);
-  const MaskEval v2 = complete_node_mask(level - 2, g_rest, g1, session, rng);
-  return merge_tiebreak_mask(v1, v3, v2);
 }
 
 }  // namespace
 
 Witness ProbeHQS::run(ProbeSession& session, Rng& /*rng*/) const {
-  return materialize(probe_hqs_rec(hqs_->height(), 0, session),
-                     hqs_->universe_size());
-}
-
-Witness ProbeHQS::run_with(TrialWorkspace& /*workspace*/,
-                           ProbeSession& session, Rng& rng) const {
-  const std::size_t n = hqs_->universe_size();
-  if (n > 64) return run(session, rng);
-  return materialize_mask(probe_hqs_rec_mask(hqs_->height(), 0, session), n);
+  return evaluate_root(hqs_->universe_size(), [&](auto support) {
+    return probe_hqs_rec<decltype(support)>(hqs_->height(), 0, session);
+  });
 }
 
 bool ProbeHQS::supports_batch(std::size_t universe_size) const {
@@ -341,21 +246,11 @@ void ProbeHQS::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
 
 Witness RProbeHQS::run(ProbeSession& session, Rng& rng) const {
   const std::size_t h = hqs_->height();
-  HqsOrderBuffer orders;
-  return materialize(
-      r_probe_hqs_rec(h, h, 0, session, orders.draw(*hqs_, rng)),
-      hqs_->universe_size());
-}
-
-Witness RProbeHQS::run_with(TrialWorkspace& /*workspace*/,
-                            ProbeSession& session, Rng& rng) const {
-  const std::size_t n = hqs_->universe_size();
-  const std::size_t h = hqs_->height();
-  HqsOrderBuffer orders;
-  const std::uint8_t* drawn = orders.draw(*hqs_, rng);
-  if (n > 64)
-    return materialize(r_probe_hqs_rec(h, h, 0, session, drawn), n);
-  return materialize_mask(r_probe_hqs_rec_mask(h, h, 0, session, drawn), n);
+  const std::vector<std::uint8_t> orders = draw_gate_orders(*hqs_, rng);
+  return evaluate_root(hqs_->universe_size(), [&](auto support) {
+    return r_probe_hqs_rec<decltype(support)>(h, h, 0, session,
+                                              orders.data());
+  });
 }
 
 bool RProbeHQS::supports_batch(std::size_t universe_size) const {
@@ -367,9 +262,9 @@ void RProbeHQS::run_batch(BatchTrialBlock& block, Rng& rng) const {
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
   // Pre-draw every lane's gate orders, in trial order then gate order --
-  // the exact draws the scalar entry points make per trial -- into 6
-  // lane-mask words per gate: slot c = lanes that picked child c first,
-  // slot 3+c = lanes that picked it second.
+  // the exact draws run() makes per trial -- into 6 lane-mask words per
+  // gate: slot c = lanes that picked child c first, slot 3+c = lanes that
+  // picked it second.
   const std::size_t gates = (n - 1) / 2;
   const std::size_t w = block.width();
   std::uint64_t* orders = block.plan_masks(gates * 6 * w);
@@ -387,15 +282,9 @@ void RProbeHQS::run_batch(BatchTrialBlock& block, Rng& rng) const {
 }
 
 Witness IRProbeHQS::run(ProbeSession& session, Rng& rng) const {
-  return materialize(ir_eval(hqs_->height(), 0, session, rng),
-                     hqs_->universe_size());
-}
-
-Witness IRProbeHQS::run_with(TrialWorkspace& /*workspace*/,
-                             ProbeSession& session, Rng& rng) const {
-  const std::size_t n = hqs_->universe_size();
-  if (n > 64) return run(session, rng);
-  return materialize_mask(ir_eval_mask(hqs_->height(), 0, session, rng), n);
+  return evaluate_root(hqs_->universe_size(), [&](auto support) {
+    return ir_eval<decltype(support)>(hqs_->height(), 0, session, rng);
+  });
 }
 
 }  // namespace qps

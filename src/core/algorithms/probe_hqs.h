@@ -29,9 +29,6 @@ class ProbeHQS final : public ProbeStrategy {
   explicit ProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "Probe_HQS"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
   /// Bit-sliced batch kernel: one masked gate-tree walk, only the lanes
   /// whose first two children disagree visiting the third.
   bool supports_batch(std::size_t universe_size) const override;
@@ -46,14 +43,11 @@ class RProbeHQS final : public ProbeStrategy {
   explicit RProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "R_Probe_HQS"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
   /// Bit-sliced batch kernel: every lane's per-gate child orders are
   /// pre-drawn as lane masks, then a two-phase masked walk evaluates each
   /// lane's first two picks and, on disagreement, its third.
-  /// Draw-compatible with the scalar entry points, which pre-draw all gate
-  /// orders in gate order too.
+  /// Draw-compatible with run(), which pre-draws all gate orders in gate
+  /// order too.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
 
@@ -65,10 +59,10 @@ class IRProbeHQS final : public ProbeStrategy {
  public:
   explicit IRProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "IR_Probe_HQS"; }
+  /// No batch kernel: which grandchild gets peeked at depends on colors
+  /// observed mid-run, so run() is the engine's path.  Allocation-free for
+  /// n <= 64 (word-mask supports).
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
 
  private:
   const HQSystem* hqs_;

@@ -1,7 +1,6 @@
 #include "core/algorithms/probe_maj.h"
 
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
@@ -62,16 +61,6 @@ Witness RProbeMaj::run(ProbeSession& session, Rng& rng) const {
       *system_, [&perm](std::size_t i) { return perm[i]; }, session);
 }
 
-Witness RProbeMaj::run_with(TrialWorkspace& workspace, ProbeSession& session,
-                            Rng& rng) const {
-  // Same draws as run(), but the permutation lands in the reusable buffer.
-  auto& perm = workspace.order_buffer();
-  rng.permutation_into(perm,
-                       static_cast<std::uint32_t>(system_->universe_size()));
-  return probe_in_order(
-      *system_, [&perm](std::size_t i) { return perm[i]; }, session);
-}
-
 bool RProbeMaj::supports_batch(std::size_t universe_size) const {
   return universe_size == system_->universe_size();
 }
@@ -83,7 +72,7 @@ void RProbeMaj::run_batch(BatchTrialBlock& block, Rng& rng) const {
   // Probing random elements in canonical order is probing canonical
   // elements in the permuted coloring: bit j of the permuted mask = bit
   // perm[j] of the original.  One permutation per lane, drawn in trial
-  // order -- the exact draws run_with() makes.
+  // order -- the exact draws run() makes.
   auto& perm = block.order_buffer();
   const std::uint64_t* src = block.trial_masks();
   std::uint64_t* dst = block.scratch_masks();

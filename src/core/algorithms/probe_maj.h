@@ -37,10 +37,6 @@ class RProbeMaj final : public ProbeStrategy {
   explicit RProbeMaj(const MajoritySystem& system) : system_(&system) {}
   std::string name() const override { return "R_Probe_Maj"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Zero-allocation variant: the random order lands in the workspace's
-  /// reusable buffer.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
   /// Bit-sliced batch kernel: each lane's coloring is permuted by that
   /// lane's pre-drawn random order (probing random elements in canonical
   /// order == probing canonical elements in random order), then the same

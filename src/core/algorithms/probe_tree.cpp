@@ -1,11 +1,9 @@
 #include "core/algorithms/probe_tree.h"
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
@@ -67,33 +65,17 @@ TreeWitness probe_tree_rec(const TreeSystem& tree, Element v,
   return combine_with_root(v, root_color, std::move(right), std::move(left));
 }
 
-// R_Probe_Tree pre-draws one plan per internal node, in node-index order,
-// BEFORE the recursion starts: the draw sequence is then independent of the
-// trial's control flow (which subtrees get visited), so the bit-sliced
-// batch path can replicate it lane by lane and stay stream-identical to
-// the scalar loop.  Unvisited nodes' plans are simply never read.
-class TreePlanBuffer {
- public:
-  /// Fills plans[v] = Uniform{0,1,2} for every internal node v (nodes with
-  /// children: v < n/2) and returns the buffer.  Stack storage up to 512
-  /// internal nodes -- height 9, n = 1023 -- so the n <= 64 hot path stays
-  /// allocation-free.
-  const std::uint8_t* draw(const TreeSystem& tree, Rng& rng) {
-    const std::size_t internal = tree.universe_size() / 2;
-    std::uint8_t* plans = stack_.data();
-    if (internal > stack_.size()) {
-      heap_.resize(internal);
-      plans = heap_.data();
-    }
-    for (std::size_t v = 0; v < internal; ++v)
-      plans[v] = static_cast<std::uint8_t>(rng.below(3));
-    return plans;
-  }
-
- private:
-  std::array<std::uint8_t, 512> stack_;
-  std::vector<std::uint8_t> heap_;
-};
+// R_Probe_Tree pre-draws one plan per internal node (nodes with children:
+// v < n/2), in node-index order, BEFORE the recursion starts: the draw
+// sequence is then independent of the trial's control flow (which subtrees
+// get visited), so the bit-sliced batch path can replicate it lane by lane
+// and stay stream-identical to run().  Unvisited nodes' plans are simply
+// never read.
+std::vector<std::uint8_t> draw_tree_plans(const TreeSystem& tree, Rng& rng) {
+  std::vector<std::uint8_t> plans(tree.universe_size() / 2);
+  for (auto& plan : plans) plan = static_cast<std::uint8_t>(rng.below(3));
+  return plans;
+}
 
 TreeWitness r_probe_tree_rec(const TreeSystem& tree, Element v,
                              ProbeSession& session,
@@ -129,101 +111,11 @@ TreeWitness r_probe_tree_rec(const TreeSystem& tree, Element v,
   return std::move(match);
 }
 
-// ---- Word-level hot path (n <= 64) --------------------------------------
-// Same recursions, but a witness is (color, support bitmask): disjoint
-// unions are single ORs and nothing is allocated.  Probe order and Rng
-// draws are identical to the vector recursions above, so both entry points
-// return the same witness at the same cost for equal generator states.
-
-struct MaskWitness {
-  Color color = Color::kRed;
-  std::uint64_t mask = 0;
-};
-
-MaskWitness combine_with_root_mask(Element root, Color root_color,
-                                   MaskWitness first, MaskWitness second) {
-  if (first.color == root_color) {
-    first.mask |= 1ULL << root;
-    return first;
-  }
-  if (second.color == root_color) {
-    second.mask |= 1ULL << root;
-    return second;
-  }
-  QPS_CHECK(first.color == second.color,
-            "subtree witnesses opposing the root must agree");
-  first.mask |= second.mask;
-  return first;
-}
-
-MaskWitness probe_tree_rec_mask(const TreeSystem& tree, Element v,
-                                ProbeSession& session) {
-  if (tree.is_leaf(v)) return {session.probe(v), 1ULL << v};
-  const Color root_color = session.probe(v);
-  MaskWitness right =
-      probe_tree_rec_mask(tree, TreeSystem::right_child(v), session);
-  if (right.color == root_color) {
-    right.mask |= 1ULL << v;
-    return right;
-  }
-  MaskWitness left =
-      probe_tree_rec_mask(tree, TreeSystem::left_child(v), session);
-  return combine_with_root_mask(v, root_color, right, left);
-}
-
-MaskWitness r_probe_tree_rec_mask(const TreeSystem& tree, Element v,
-                                  ProbeSession& session,
-                                  const std::uint8_t* plans) {
-  if (tree.is_leaf(v)) return {session.probe(v), 1ULL << v};
-  const Element left = TreeSystem::left_child(v);
-  const Element right = TreeSystem::right_child(v);
-  const std::uint8_t plan = plans[v];
-  if (plan == 0 || plan == 1) {
-    const Element primary = plan == 0 ? right : left;
-    const Element sibling = plan == 0 ? left : right;
-    const Color root_color = session.probe(v);
-    MaskWitness first = r_probe_tree_rec_mask(tree, primary, session, plans);
-    if (first.color == root_color) {
-      first.mask |= 1ULL << v;
-      return first;
-    }
-    MaskWitness second = r_probe_tree_rec_mask(tree, sibling, session, plans);
-    return combine_with_root_mask(v, root_color, first, second);
-  }
-  MaskWitness wl = r_probe_tree_rec_mask(tree, left, session, plans);
-  MaskWitness wr = r_probe_tree_rec_mask(tree, right, session, plans);
-  if (wl.color == wr.color) {
-    wl.mask |= wr.mask;
-    return wl;
-  }
-  const Color root_color = session.probe(v);
-  MaskWitness& match = wl.color == root_color ? wl : wr;
-  match.mask |= 1ULL << v;
-  return match;
-}
-
-Witness materialize_mask(const MaskWitness& mw, std::size_t n) {
-  Witness w;
-  w.color = mw.color;
-  w.elements = ElementSet::from_mask(n, mw.mask);
-  return w;
-}
-
 }  // namespace
 
 Witness ProbeTree::run(ProbeSession& session, Rng& /*rng*/) const {
   return materialize(probe_tree_rec(*tree_, TreeSystem::kRoot, session),
                      tree_->universe_size());
-}
-
-Witness ProbeTree::run_with(TrialWorkspace& workspace, ProbeSession& session,
-                            Rng& rng) const {
-  const std::size_t n = tree_->universe_size();
-  if (n > 64) return run(session, rng);
-  (void)workspace;
-  return materialize_mask(probe_tree_rec_mask(*tree_, TreeSystem::kRoot,
-                                              session),
-                          n);
 }
 
 bool ProbeTree::supports_batch(std::size_t universe_size) const {
@@ -237,24 +129,10 @@ void ProbeTree::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
 }
 
 Witness RProbeTree::run(ProbeSession& session, Rng& rng) const {
-  TreePlanBuffer plans;
+  const std::vector<std::uint8_t> plans = draw_tree_plans(*tree_, rng);
   return materialize(r_probe_tree_rec(*tree_, TreeSystem::kRoot, session,
-                                      plans.draw(*tree_, rng)),
+                                      plans.data()),
                      tree_->universe_size());
-}
-
-Witness RProbeTree::run_with(TrialWorkspace& workspace, ProbeSession& session,
-                             Rng& rng) const {
-  const std::size_t n = tree_->universe_size();
-  TreePlanBuffer plans;
-  const std::uint8_t* drawn = plans.draw(*tree_, rng);
-  if (n > 64)
-    return materialize(r_probe_tree_rec(*tree_, TreeSystem::kRoot, session,
-                                        drawn),
-                       n);
-  (void)workspace;
-  return materialize_mask(
-      r_probe_tree_rec_mask(*tree_, TreeSystem::kRoot, session, drawn), n);
 }
 
 bool RProbeTree::supports_batch(std::size_t universe_size) const {
@@ -266,9 +144,8 @@ void RProbeTree::run_batch(BatchTrialBlock& block, Rng& rng) const {
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
   // Pre-draw every lane's plans, in trial order then node order -- the
-  // exact draws the scalar entry points make per trial -- into per-node
-  // lane-mask triples: bit t of plans[(v*3 + p)*W + t/64] says lane t
-  // picked plan p at node v.
+  // exact draws run() makes per trial -- into per-node lane-mask triples:
+  // bit t of plans[(v*3 + p)*W + t/64] says lane t picked plan p at node v.
   const std::size_t internal = n / 2;
   const std::size_t w = block.width();
   std::uint64_t* plans = block.plan_masks(internal * 3 * w);

@@ -21,9 +21,6 @@ class ProbeTree final : public ProbeStrategy {
   explicit ProbeTree(const TreeSystem& tree) : tree_(&tree) {}
   std::string name() const override { return "Probe_Tree"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask recursion for n <= 64.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
   /// Bit-sliced batch kernel: one masked recursion over the tree, lanes
   /// that disagree with their root color descending into the left subtree.
   bool supports_batch(std::size_t universe_size) const override;
@@ -38,13 +35,10 @@ class RProbeTree final : public ProbeStrategy {
   explicit RProbeTree(const TreeSystem& tree) : tree_(&tree) {}
   std::string name() const override { return "R_Probe_Tree"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask recursion for n <= 64.
-  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                   Rng& rng) const override;
   /// Bit-sliced batch kernel: every lane's plans are pre-drawn as per-node
   /// lane masks, then one masked recursion splits the lanes at each node by
-  /// plan.  Draw-compatible with the scalar entry points, which pre-draw
-  /// all plans in node order too.
+  /// plan.  Draw-compatible with run(), which pre-draws all plans in node
+  /// order too.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
 

@@ -1,7 +1,6 @@
 #include "core/algorithms/random_order.h"
 
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
@@ -35,15 +34,6 @@ Witness RandomOrderProbe::run(ProbeSession& session, Rng& rng) const {
   const std::size_t n = system_->universe_size();
   QPS_REQUIRE(session.universe_size() == n, "session over the wrong universe");
   const auto order = rng.permutation(static_cast<std::uint32_t>(n));
-  return probe_in_random_order(*system_, order, session);
-}
-
-Witness RandomOrderProbe::run_with(TrialWorkspace& workspace,
-                                   ProbeSession& session, Rng& rng) const {
-  const std::size_t n = system_->universe_size();
-  QPS_REQUIRE(session.universe_size() == n, "session over the wrong universe");
-  auto& order = workspace.order_buffer();
-  rng.permutation_into(order, static_cast<std::uint32_t>(n));
   return probe_in_random_order(*system_, order, session);
 }
 

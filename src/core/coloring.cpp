@@ -37,17 +37,6 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng) {
   return Coloring(universe_size, std::move(greens));
 }
 
-std::uint64_t sample_iid_coloring_mask(std::size_t universe_size, double p,
-                                       Rng& rng) {
-  QPS_REQUIRE(universe_size >= 1 && universe_size <= 64,
-              "mask sampling needs a universe of 1..64");
-  QPS_REQUIRE(p >= 0.0 && p <= 1.0, "probability outside [0,1]");
-  std::uint64_t greens = 0;
-  for (Element e = 0; e < universe_size; ++e)
-    if (!rng.bernoulli(p)) greens |= 1ULL << e;
-  return greens;
-}
-
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng) {
   QPS_REQUIRE(universe_size >= 1, "word sampling needs a nonempty universe");

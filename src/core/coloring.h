@@ -26,7 +26,7 @@ inline Color opposite(Color c) {
 std::string to_string(Color c);
 
 /// An assignment of colors to all n elements.  Value type; immutable except
-/// for the assign_greens_mask() engine hook, which refills the coloring in
+/// for the assign_greens_words() engine hook, which refills the coloring in
 /// place so the Monte-Carlo hot path can reuse one buffer across trials.
 class Coloring {
  public:
@@ -46,15 +46,10 @@ class Coloring {
 
   Coloring with(Element e, Color c) const;
 
-  /// Overwrites the green set from a bitmask without reallocating
-  /// (universes of at most 64 elements).  Engine hook for the
-  /// zero-allocation trial loop; everything else should treat colorings as
-  /// immutable.
-  void assign_greens_mask(std::uint64_t mask) { greens_.assign_mask(mask); }
-
-  /// Multi-word variant: overwrites the green set from ceil(n/64) mask
-  /// words (the per-trial rows sample_iid_coloring_words produces).  Same
-  /// engine hook, any universe size.
+  /// Overwrites the green set in place from ceil(n/64) mask words (the
+  /// per-trial rows sample_iid_coloring_words produces), any universe
+  /// size.  Engine hook for refilling one coloring across trials;
+  /// everything else should treat colorings as immutable.
   void assign_greens_words(const std::uint64_t* words) {
     greens_.assign_words(words);
   }
@@ -69,14 +64,6 @@ class Coloring {
 /// probability `p` (the probabilistic model of Section 3).
 Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng);
 
-/// Green-mask variant of sample_iid_coloring for universes of at most 64
-/// elements: same distribution, same generator draw sequence (one uniform
-/// per element), no ElementSet materialization.  sample_iid_coloring(n,p,r)
-/// == Coloring(n, ElementSet::from_mask(n, sample_iid_coloring_mask(n,p,r)))
-/// for equal generator states.
-std::uint64_t sample_iid_coloring_mask(std::size_t universe_size, double p,
-                                       Rng& rng);
-
 /// Batched word-level i.i.d. sampling: fills `out` with one green mask row
 /// of ceil(n/64) words per trial (trial t occupies
 /// out[t*stride .. t*stride+stride)).  Each word is built by the bit-sliced
@@ -86,7 +73,7 @@ std::uint64_t sample_iid_coloring_mask(std::size_t universe_size, double p,
 /// 64-lane draw per significant bit of P (at most 53 draws per word, and
 /// e.g. a single draw at p = 1/2).  The marginal of every element is
 /// therefore bit-exactly Bernoulli(p), while the joint draw sequence
-/// differs from the per-element samplers; estimates built on it are
+/// differs from sample_iid_coloring's; estimates built on it are
 /// statistically equivalent, not stream-identical.  Deterministic function
 /// of (p, rng state), so engine results stay bit-identical across thread
 /// counts; for n <= 64 (stride 1) the draw sequence is unchanged from the

@@ -1,6 +1,6 @@
 // Bit-sliced batch trial kernel: 64*W Monte-Carlo trials per block.
 //
-// The scalar hot path (trial_workspace.h) runs one trial at a time; every
+// The reference ProbeStrategy::run() plays one trial at a time; every
 // probe is a branch on one trial's color.  A batch block instead runs a
 // whole super-block of trials in lock-step, one bit-lane per trial and
 // W = SimdKernels::width lane words side by side (core/engine/simd.h):
@@ -21,11 +21,11 @@
 //    equality against a constant.
 //
 // Contract: for every lane t < trial_count(), the probe count recovered by
-// probe_count(t) must be bit-identical to what the scalar
-// ProbeStrategy::run_with() path reports for trial t's coloring
-// (tests/core/test_batch_kernel.cpp and test_simd.cpp enforce this per
-// strategy x family x ISA).  The engine dispatches to this kernel via
-// EngineOptions::execution, with the ISA picked once per run through
+// probe_count(t) must be bit-identical to what run() reports for trial t's
+// coloring with the same generator stream (tests/core/test_batch_kernel.cpp
+// and test_simd.cpp enforce this per strategy x family x ISA).  The engine
+// takes this path whenever the strategy supports_batch() and witnesses are
+// not validated, with the ISA picked once per run through
 // EngineOptions::simd (parallel_estimator.h).
 #pragma once
 
@@ -241,9 +241,9 @@ class RunningStats;
 /// super-blocks of block.lane_capacity() lanes: load (bind + lazy
 /// transpose), run_batch, then append the per-trial probe counts to `out`
 /// strictly in trial order -- the same order, hence the same RunningStats,
-/// as the scalar path produces.  `rng` feeds the strategies' pre-drawn
-/// per-trial randomness (permutations, plans), consumed in trial order so
-/// the draw sequence matches the scalar loop's.  The block must be
+/// as a loop of run() calls produces.  `rng` feeds the strategies'
+/// pre-drawn per-trial randomness (permutations, plans), consumed in trial
+/// order so the draw sequence matches that loop's.  The block must be
 /// configure()d for `universe_size`, and the strategy must support
 /// batching (ProbeStrategy::supports_batch).
 void run_bit_sliced_trials(const ProbeStrategy& strategy,

@@ -1,5 +1,6 @@
 #include "core/engine/parallel_estimator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -57,23 +58,15 @@ struct RunState {
   std::exception_ptr first_error;
 };
 
-/// One hot-path trial: reset the session, run the strategy through the
-/// scratch-aware entry point, optionally validate.  Allocation-free in the
-/// steady state for n <= 64.
-double run_workspace_trial(TrialWorkspace& workspace, const Coloring& coloring,
-                           const QuorumSystem& system,
-                           const ProbeStrategy& strategy, bool validate,
-                           Rng& rng) {
-  ProbeSession& session = workspace.begin_trial(coloring);
-  const Witness witness = strategy.run_with(workspace, session, rng);
-  if (validate) {
-    const std::string error =
-        validate_witness(system, coloring, witness, session.probed());
-    if (!error.empty())
-      throw std::logic_error(strategy.name() +
-                             " returned a bad witness: " + error);
-  }
-  return static_cast<double>(session.probe_count());
+/// Throws when `witness` does not certify the state of `coloring`.
+void check_witness(const QuorumSystem& system, const ProbeStrategy& strategy,
+                   const Coloring& coloring, const Witness& witness,
+                   const ProbeSession& session) {
+  const std::string error =
+      validate_witness(system, coloring, witness, session.probed());
+  if (!error.empty())
+    throw std::logic_error(strategy.name() + " returned a bad witness: " +
+                           error);
 }
 
 }  // namespace
@@ -202,103 +195,83 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
                                              const ProbeStrategy& strategy,
                                              double p) const {
   QPS_FAULT_POINT("engine/estimate");
-  const bool validate = options_.validate_witnesses;
   const std::size_t n = system.universe_size();
   if (n == 0) {
     return run([&](Rng& rng) {
       const Coloring coloring = sample_iid_coloring(n, p, rng);
-      return run_probe_trial(system, strategy, coloring, validate, rng);
+      return run_probe_trial(system, strategy, coloring,
+                             options_.validate_witnesses, rng);
     });
   }
-  // Bit-sliced batch kernels: 64*W trials per super-block for every
-  // strategy with a batch kernel, any universe size.  The masks are
-  // sampled exactly as on the scalar kWordBatch path (same draws, same rng
-  // sequence) and batch strategies pre-draw their per-trial randomness in
-  // trial order (the exact draws the scalar loop makes), so the per-trial
-  // probe counts -- and therefore the merged statistics -- are
-  // bit-identical to the scalar path's, for every ISA.  Validation needs
-  // materialized witnesses, which the kernels never build: that
-  // combination falls back to the scalar path below.
-  if (options_.execution == Execution::kBitSliced &&
-      options_.sampler == ColoringSampler::kWordBatch && !validate &&
-      strategy.supports_batch(n)) {
-    const SimdKernels& kernels = resolve_simd_kernels(options_.simd);
-    return run_batches([&strategy, &kernels, p, n] {
-      auto workspace = std::make_shared<TrialWorkspace>(n);
-      return [workspace, &strategy, &kernels, p, n](
-                 std::size_t begin, std::size_t end, Rng& rng,
-                 RunningStats& out) {
-        TrialWorkspace& ws = *workspace;
-        const std::size_t count = end - begin;
-        std::uint64_t* masks = ws.coloring_masks(count);
-        sample_iid_coloring_words(masks, count, n, p, rng);
-        ws.batch_block().configure(kernels, n);
-        run_bit_sliced_trials(strategy, ws.batch_block(), masks, count, n,
-                              rng, out);
-      };
-    });
-  }
-  if (options_.sampler == ColoringSampler::kPerElement && n > 64) {
-    // The per-element sampler only exists single-word; larger universes
-    // keep the original allocating per-trial path (same draw sequence).
-    return run([&](Rng& rng) {
-      const Coloring coloring = sample_iid_coloring(n, p, rng);
-      return run_probe_trial(system, strategy, coloring, validate, rng);
-    });
-  }
-  // Zero-allocation scalar hot path: one workspace per worker, colorings
-  // filled in place.  kWordBatch samples the whole batch's mask rows up
-  // front (the sampling and strategy draws are then contiguous per batch);
-  // kPerElement interleaves them per trial, exactly like the generic path,
-  // so its results are bit-identical to it.
-  const ColoringSampler sampler = options_.sampler;
-  return run_batches([&system, &strategy, p, validate, n, sampler] {
-    auto workspace = std::make_shared<TrialWorkspace>(n);
-    return [workspace, &system, &strategy, p, validate, n, sampler](
-               std::size_t begin, std::size_t end, Rng& rng,
-               RunningStats& out) {
-      TrialWorkspace& ws = *workspace;
-      const std::size_t count = end - begin;
-      if (sampler == ColoringSampler::kWordBatch) {
-        const std::size_t stride = (n + 63) / 64;
-        std::uint64_t* masks = ws.coloring_masks(count);
-        sample_iid_coloring_words(masks, count, n, p, rng);
-        for (std::size_t i = 0; i < count; ++i) {
-          ws.coloring().assign_greens_words(masks + i * stride);
-          out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
-                                      validate, rng));
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          ws.coloring().assign_greens_mask(sample_iid_coloring_mask(n, p, rng));
-          out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
-                                      validate, rng));
-        }
-      }
-    };
-  });
+  return run_strategy(system, strategy,
+                      [n, p](std::uint64_t* masks, std::size_t count,
+                             Rng& rng) {
+                        sample_iid_coloring_words(masks, count, n, p, rng);
+                      });
 }
 
 RunningStats ParallelEstimator::expected_probes_on(
     const QuorumSystem& system, const ProbeStrategy& strategy,
     const Coloring& coloring) const {
-  const bool validate = options_.validate_witnesses;
   const std::size_t n = system.universe_size();
-  if (n == 0 || n > 64) {
+  if (n == 0) {
     return run([&](Rng& rng) {
-      return run_probe_trial(system, strategy, coloring, validate, rng);
+      return run_probe_trial(system, strategy, coloring,
+                             options_.validate_witnesses, rng);
     });
   }
-  // Hot path on the fixed coloring; draw-for-draw identical to the generic
-  // path (the strategy's stream is all there is).
-  return run_batches([&system, &strategy, &coloring, validate, n] {
+  QPS_REQUIRE(coloring.universe_size() == n,
+              "coloring over the wrong universe");
+  // The fixed coloring's green-mask row, copied into every trial's row.
+  const std::size_t stride = (n + 63) / 64;
+  std::vector<std::uint64_t> row(stride, 0);
+  const ElementSet& greens = coloring.greens();
+  for (Element e = greens.first(); e < n; e = greens.next_after(e))
+    row[e / 64] |= 1ULL << (e % 64);
+  return run_strategy(system, strategy,
+                      [&row, stride](std::uint64_t* masks, std::size_t count,
+                                     Rng& /*rng*/) {
+                        for (std::size_t t = 0; t < count; ++t)
+                          std::copy(row.begin(), row.end(),
+                                    masks + t * stride);
+                      });
+}
+
+RunningStats ParallelEstimator::run_strategy(
+    const QuorumSystem& system, const ProbeStrategy& strategy,
+    const FillMasks& fill_masks) const {
+  const std::size_t n = system.universe_size();
+  const std::size_t stride = (n + 63) / 64;
+  const bool validate = options_.validate_witnesses;
+  // The one path decision: batch kernels need no witnesses, so validation
+  // (like a strategy without a kernel) takes the reference run().
+  const SimdKernels* kernels = !validate && strategy.supports_batch(n)
+                                   ? &resolve_simd_kernels(options_.simd)
+                                   : nullptr;
+  return run_batches([&system, &strategy, &fill_masks, kernels, validate, n,
+                      stride] {
     auto workspace = std::make_shared<TrialWorkspace>(n);
-    return [workspace, &system, &strategy, &coloring, validate](
-               std::size_t begin, std::size_t end, Rng& rng,
-               RunningStats& out) {
-      for (std::size_t t = begin; t < end; ++t)
-        out.add(run_workspace_trial(*workspace, coloring, system, strategy,
-                                    validate, rng));
+    return [workspace, &system, &strategy, &fill_masks, kernels, validate, n,
+            stride](std::size_t begin, std::size_t end, Rng& rng,
+                    RunningStats& out) {
+      TrialWorkspace& ws = *workspace;
+      const std::size_t count = end - begin;
+      std::uint64_t* masks = ws.coloring_masks(count);
+      fill_masks(masks, count, rng);
+      if (kernels != nullptr) {
+        ws.batch_block().configure(*kernels, n);
+        run_bit_sliced_trials(strategy, ws.batch_block(), masks, count, n,
+                              rng, out);
+        return;
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        ws.coloring().assign_greens_words(masks + i * stride);
+        ProbeSession& session = ws.begin_trial(ws.coloring());
+        const Witness witness = strategy.run(session, rng);
+        if (validate)
+          check_witness(system, strategy, ws.coloring(), witness, session);
+        out.add(static_cast<double>(session.probe_count()));
+      }
     };
   });
 }
@@ -308,13 +281,7 @@ double run_probe_trial(const QuorumSystem& system,
                        bool validate, Rng& rng) {
   ProbeSession session(coloring);
   const Witness witness = strategy.run(session, rng);
-  if (validate) {
-    const std::string error =
-        validate_witness(system, coloring, witness, session.probed());
-    if (!error.empty())
-      throw std::logic_error(strategy.name() +
-                             " returned a bad witness: " + error);
-  }
+  if (validate) check_witness(system, strategy, coloring, witness, session);
   return static_cast<double>(session.probe_count());
 }
 

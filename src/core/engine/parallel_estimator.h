@@ -27,37 +27,6 @@
 
 namespace qps {
 
-/// How estimate_ppc draws its per-trial colorings on the zero-allocation
-/// hot path.
-enum class ColoringSampler {
-  /// One whole batch of green-mask rows up front, word-at-a-time, via
-  /// sample_iid_coloring_words: the fastest path, any universe size.
-  /// Statistically equivalent to -- but a different draw sequence than --
-  /// the per-element sampler.
-  kWordBatch,
-  /// Per-trial, one uniform per element, interleaved with the strategy's
-  /// own draws: bit-identical results to the pre-workspace generic path
-  /// (used by differential tests and available for reproducing old runs).
-  /// Universes above 64 elements take the generic allocating trial.
-  kPerElement,
-};
-
-/// How estimate_ppc executes the trials of a batch.
-enum class Execution {
-  /// Bit-sliced batch kernels (core/engine/batch_kernel.h) where eligible:
-  /// the strategy has a batch kernel (ProbeStrategy::supports_batch --
-  /// deterministic-order scans and the pre-drawing randomized-order
-  /// strategies, any universe size), the kWordBatch sampler, and witness
-  /// validation off (the kernels resolve win/loss as lane masks and never
-  /// materialize witnesses).  Ineligible combinations -- strategies
-  /// without a kernel, kPerElement, validation -- fall back to the scalar
-  /// path, so the default is always safe.  Per-trial probe counts are
-  /// bit-identical to kScalar's, hence so are the returned statistics.
-  kBitSliced,
-  /// Always the per-trial run_with scalar hot path (the PR 4 shape).
-  kScalar,
-};
-
 struct EngineOptions {
   /// Total Monte-Carlo trial budget (upper bound when early-stop is on).
   std::size_t trials = 1000;
@@ -77,15 +46,11 @@ struct EngineOptions {
   bool validate_witnesses = false;
   /// Root seed for the per-batch RNG streams.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Coloring sampling mode for estimate_ppc's hot path (n <= 64).
-  ColoringSampler sampler = ColoringSampler::kWordBatch;
-  /// Trial execution mode for estimate_ppc (bit-sliced batch kernel where
-  /// eligible vs. always scalar); results are bit-identical either way.
-  Execution execution = Execution::kBitSliced;
   /// Instruction set for the bit-sliced kernels (core/engine/simd.h):
   /// kAuto picks the best the build and CPU support, resolved once per
-  /// estimate_ppc call.  Per-trial results are bit-identical across ISAs
-  /// (only the number of lane words per pass changes).
+  /// estimate_ppc / expected_probes_on call.  Per-trial results are
+  /// bit-identical across ISAs (only the number of lane words per pass
+  /// changes).
   SimdIsa simd = SimdIsa::kAuto;
 };
 
@@ -109,12 +74,22 @@ class ParallelEstimator {
   RunningStats run_sequential(const Trial& trial, Rng& rng) const;
 
   /// PPC_p estimation (Section 3 model): i.i.d. element failures with
-  /// probability p, fresh coloring per trial.
+  /// probability p, fresh coloring per trial.  Each batch samples its
+  /// green-mask rows up front with sample_iid_coloring_words.
+  ///
+  /// Both estimators take one of two paths per call: the strategy's
+  /// bit-sliced batch kernel when it supports_batch(n) and witnesses are
+  /// not validated (the kernels never materialize witnesses), otherwise
+  /// the reference run() on each worker's reused ProbeSession.  Batch
+  /// kernels pre-draw each lane's randomness in trial order, so the
+  /// per-trial probe counts -- and the merged statistics -- are
+  /// bit-identical either way.
   RunningStats estimate_ppc(const QuorumSystem& system,
                             const ProbeStrategy& strategy, double p) const;
 
   /// Expected probes of `strategy` on one fixed coloring (the inner
-  /// expectation of the Section 4 randomized model).
+  /// expectation of the Section 4 randomized model): every trial's
+  /// green-mask row is a copy of the coloring's.
   RunningStats expected_probes_on(const QuorumSystem& system,
                                   const ProbeStrategy& strategy,
                                   const Coloring& coloring) const;
@@ -136,8 +111,20 @@ class ParallelEstimator {
   using BatchFnFactory = std::function<BatchFn()>;
 
   /// The batching/merging/early-stop engine shared by run() and the
-  /// workspace-backed hot paths.
+  /// strategy estimators.
   RunningStats run_batches(const BatchFnFactory& make_batch_fn) const;
+
+  /// Fills `count` green-mask rows of ceil(n/64) words for one batch,
+  /// drawing only from the batch's `rng`.
+  using FillMasks =
+      std::function<void(std::uint64_t* masks, std::size_t count, Rng& rng)>;
+
+  /// The strategy estimators' shared body: per batch, fill the mask rows,
+  /// then run the trials through the batch kernel or through run() (see
+  /// estimate_ppc).  Requires a nonempty universe.
+  RunningStats run_strategy(const QuorumSystem& system,
+                            const ProbeStrategy& strategy,
+                            const FillMasks& fill_masks) const;
 
   EngineOptions options_;
 };

@@ -1,25 +1,23 @@
-// TrialWorkspace: per-worker scratch arena for the Monte-Carlo hot path.
+// TrialWorkspace: per-worker scratch arena for the Monte-Carlo engine.
 //
-// One Monte-Carlo trial needs a sampled coloring, a probe session, and --
-// per strategy -- order buffers or candidate masks.  Allocating these per
-// trial dominated the runtime of the estimation engine; a TrialWorkspace
-// owns them all, is constructed once per ParallelEstimator worker (and once
-// for the sequential path), and is recycled between trials:
+// A batch of trials needs its green-mask rows, and then either a bit-sliced
+// batch block (the fast path, core/engine/batch_kernel.h) or a coloring
+// slot plus a probe session to run the reference ProbeStrategy::run() on.
+// A TrialWorkspace owns all of them, is constructed once per
+// ParallelEstimator worker, and is recycled between batches:
 //
 //   TrialWorkspace ws(system.universe_size());
+//   std::uint64_t* masks = ws.coloring_masks(count);   // fill the rows
 //   for (trial : batch) {
-//     ws.coloring().assign_greens_mask(masks[trial]);      // n <= 64
+//     ws.coloring().assign_greens_words(masks + trial * stride);
 //     ProbeSession& session = ws.begin_trial(ws.coloring());
-//     Witness w = strategy.run_with(ws, session, rng);
+//     Witness w = strategy.run(session, rng);
 //   }
 //
-// For the paper's universes (n <= 64, single-word ElementSets) the loop
-// body performs no heap allocation in the steady state; strategies reach
-// the reusable buffers through the scratch-aware ProbeStrategy::run_with
-// entry point (core/strategy.h).
+// The workspace itself allocates only while its buffers grow to their
+// high-water mark; whether a run() allocates is up to the strategy.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,12 +39,12 @@ class TrialWorkspace {
   std::size_t universe_size() const { return coloring_.universe_size(); }
 
   /// The workspace's reusable coloring slot.  The engine refills it via
-  /// Coloring::assign_greens_mask between trials.
+  /// Coloring::assign_greens_words between trials.
   Coloring& coloring() { return coloring_; }
 
   /// Rebinds the session to `coloring` (usually the workspace's own slot,
-  /// but any coloring over the same universe works, e.g. the fixed coloring
-  /// of expected_probes_on) and clears all per-trial probe state.
+  /// but any coloring over the same universe works) and clears all
+  /// per-trial probe state.
   ProbeSession& begin_trial(const Coloring& coloring) {
     session_.reset(coloring);
     return session_;
@@ -63,28 +61,15 @@ class TrialWorkspace {
     return coloring_masks_.data();
   }
 
-  /// Reusable element-order buffer (randomized strategies refill it with
-  /// Rng::permutation_into).
-  std::vector<std::uint32_t>& order_buffer() { return order_; }
-
-  /// Independent reusable word-mask buffers (e.g. the greedy baseline's
-  /// live / dead / unhit candidate masks).
-  static constexpr std::size_t kWordBufferCount = 4;
-  std::vector<std::uint64_t>& word_buffer(std::size_t slot) {
-    return word_buffers_.at(slot);
-  }
-
   /// The worker's bit-sliced batch block (core/engine/batch_kernel.h):
   /// storage sized once by BatchTrialBlock::configure, reloaded per
-  /// super-block by the engine's kBitSliced execution path.
+  /// super-block by the engine's batch path.
   BatchTrialBlock& batch_block() { return batch_block_; }
 
  private:
   Coloring coloring_;
   ProbeSession session_;
   std::vector<std::uint64_t> coloring_masks_;
-  std::vector<std::uint32_t> order_;
-  std::array<std::vector<std::uint64_t>, kWordBufferCount> word_buffers_;
   BatchTrialBlock batch_block_;
 };
 

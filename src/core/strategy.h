@@ -5,17 +5,16 @@
 // randomized strategies (Section 4) draw all their randomness from it, so a
 // run is reproducible from the coloring and the generator seed.
 //
-// Two entry points:
-//  * run() is the original self-contained API; implementations may allocate
-//    whatever scratch they need per call.
-//  * run_with() additionally receives a TrialWorkspace
-//    (core/engine/trial_workspace.h) so a strategy can reuse per-worker
-//    buffers instead of allocating per trial -- the Monte-Carlo hot path.
-//    The default adapter ignores the workspace and forwards to run(), so
-//    legacy strategies keep working unchanged.  Overrides must draw from
-//    the Rng exactly as run() does: for any fixed generator state the two
-//    entry points return identical witnesses at identical probe cost
-//    (enforced by tests/core/test_hot_path_identity.cpp).
+// Two entry points, one reference and one fast path:
+//  * run() is the readable reference: one trial, one witness.  The engine
+//    calls it on a reused ProbeSession for strategies without a batch
+//    kernel (the color-adaptive Greedy_Candidate and IR_Probe_HQS) and
+//    whenever witnesses are validated.
+//  * run_batch() executes a block of 64*W trials in lock-step through the
+//    bit-sliced kernels (core/engine/batch_kernel.h).  It must reproduce
+//    run() lane for lane: same probe count on every lane's coloring, same
+//    Rng draws in trial order (tests/core/test_hot_path_identity.cpp,
+//    test_batch_kernel.cpp, test_simd.cpp).
 #pragma once
 
 #include <memory>
@@ -29,7 +28,6 @@
 namespace qps {
 
 class BatchTrialBlock;
-class TrialWorkspace;
 
 class ProbeStrategy {
  public:
@@ -40,15 +38,6 @@ class ProbeStrategy {
   /// Probes until a witness is found; `session.probe_count()` afterwards is
   /// the cost of the run.
   virtual Witness run(ProbeSession& session, Rng& rng) const = 0;
-
-  /// Scratch-aware entry point: like run(), but may reuse the workspace's
-  /// buffers instead of allocating.  Must be observationally identical to
-  /// run() (same probes, same witness, same Rng draws).
-  virtual Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                           Rng& rng) const {
-    (void)workspace;
-    return run(session, rng);
-  }
 
   /// True when the strategy can execute a bit-sliced batch block
   /// (core/engine/batch_kernel.h) over a universe of `universe_size`
@@ -65,12 +54,11 @@ class ProbeStrategy {
   /// Runs one loaded super-block of trials in lock-step through the block's
   /// ISA kernel table (block.kernels()).  Randomized strategies draw their
   /// per-trial randomness from `rng` for lanes 0 .. trial_count()-1 IN
-  /// TRIAL ORDER, with exactly the draws run_with() makes per trial, so the
-  /// batch path consumes the same stream as the scalar loop.  For every
-  /// lane, the recovered probe count must be bit-identical to what
-  /// run_with() reports on that lane's coloring
-  /// (tests/core/test_batch_kernel.cpp, tests/core/test_simd.cpp).  Only
-  /// called when supports_batch(block.universe_size()) is true.
+  /// TRIAL ORDER, with exactly the draws run() makes per trial, so the
+  /// batch path consumes the same stream as a loop of run() calls.  For
+  /// every lane, the recovered probe count must be bit-identical to what
+  /// run() reports on that lane's coloring.  Only called when
+  /// supports_batch(block.universe_size()) is true.
   virtual void run_batch(BatchTrialBlock& block, Rng& rng) const {
     (void)block;
     (void)rng;

@@ -2,11 +2,12 @@
 //
 // This binary replaces the global allocation functions with counting
 // forwarders (which is why it is its own test executable) and asserts that
-// a steady-state trial -- batched word-level coloring sampling, workspace
-// reset, scratch-aware strategy run -- performs exactly zero heap
-// allocations for every strategy x family at n <= 64.  The first trials of
-// a workspace may allocate (buffers grow to their high-water mark); the
-// measured window starts after a warmup.
+// a steady-state trial on the path the engine takes -- the bit-sliced
+// batch kernel where the strategy has one, run() on the workspace's reused
+// session otherwise -- performs exactly zero heap allocations for every
+// strategy x family at n <= 64.  The first trials of a workspace may
+// allocate (buffers grow to their high-water mark); the measured window
+// starts after a warmup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,31 +87,51 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace qps {
 namespace {
 
-/// Runs `trials` hot-path trials and returns the allocations performed
-/// after the warmup window.
+/// Runs `trials` trials the way the engine's batch function does and
+/// returns the allocations performed after the warmup window.  Each batch
+/// of green-mask rows is either i.i.d. sampled (estimate_ppc) or copies of
+/// one fixed row (expected_probes_on).
 std::size_t allocations_in_steady_state(const QuorumSystem& system,
                                         const ProbeStrategy& strategy,
-                                        double p, std::size_t trials) {
+                                        bool fixed_coloring,
+                                        std::size_t trials) {
   const std::size_t n = system.universe_size();
   TrialWorkspace ws(n);
   Rng rng(20010826);
   constexpr std::size_t kBatch = 256;
   std::uint64_t* masks = ws.coloring_masks(kBatch);
+  std::uint64_t fixed_row = 0;
+  sample_iid_coloring_words(&fixed_row, 1, n, 0.5, rng);
+  const bool batch = strategy.supports_batch(n);
+  if (batch)
+    ws.batch_block().configure(resolve_simd_kernels(SimdIsa::kAuto), n);
+  RunningStats stats;
 
   const auto run_batch = [&] {
-    sample_iid_coloring_words(masks, kBatch, n, p, rng);
+    if (fixed_coloring)
+      std::fill(masks, masks + kBatch, fixed_row);
+    else
+      sample_iid_coloring_words(masks, kBatch, n, 0.5, rng);
+    if (batch) {
+      run_bit_sliced_trials(strategy, ws.batch_block(), masks, kBatch, n, rng,
+                            stats);
+      return;
+    }
     for (std::size_t i = 0; i < kBatch; ++i) {
-      ws.coloring().assign_greens_mask(masks[i]);
+      ws.coloring().assign_greens_words(masks + i);
       ProbeSession& session = ws.begin_trial(ws.coloring());
-      const Witness witness = strategy.run_with(ws, session, rng);
+      const Witness witness = strategy.run(session, rng);
       if (witness.elements.empty()) std::abort();  // keep the result alive
+      stats.add(static_cast<double>(session.probe_count()));
     }
   };
 
   run_batch();  // warmup: buffers grow to their high-water mark here
   const std::size_t before = g_allocations.load();
   for (std::size_t done = 0; done < trials; done += kBatch) run_batch();
-  return g_allocations.load() - before;
+  const std::size_t allocations = g_allocations.load() - before;
+  if (stats.count() == 0) std::abort();  // keep the counts alive
+  return allocations;
 }
 
 TEST(ZeroAllocationHotPath, EveryStrategyAndFamilyIsAllocationFree) {
@@ -144,19 +165,20 @@ TEST(ZeroAllocationHotPath, EveryStrategyAndFamilyIsAllocationFree) {
       {&cw10, &r_probe_cw},
   };
   for (const auto& c : cases) {
-    const std::size_t allocations =
-        allocations_in_steady_state(*c.system, *c.strategy, 0.5, 2048);
-    EXPECT_EQ(allocations, 0u)
-        << c.strategy->name() << " on " << c.system->name();
+    for (const bool fixed_coloring : {false, true}) {
+      const std::size_t allocations = allocations_in_steady_state(
+          *c.system, *c.strategy, fixed_coloring, 2048);
+      EXPECT_EQ(allocations, 0u)
+          << c.strategy->name() << " on " << c.system->name()
+          << (fixed_coloring ? " (fixed coloring)" : " (i.i.d.)");
+    }
   }
 }
 
 TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
   // R_Probe_CW's per-call row scratch lives on the stack for n <= 64, so
-  // even the legacy run() entry point allocates nothing per trial.  (The
-  // greedy baseline's legacy run() deliberately allocates per call now:
-  // its reusable scratch is TrialWorkspace-owned, reachable only through
-  // run_with -- no hidden thread-local state.)
+  // even its reference run() entry point allocates nothing per trial,
+  // though the engine runs it through its batch kernel.
   const CrumblingWall cw10 = CrumblingWall::triang(10);
   const RProbeCW r_probe_cw(cw10);
   Rng rng(7);
@@ -167,7 +189,9 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
     Coloring coloring(n);
     ProbeSession session(coloring);
     const auto trial = [&] {
-      coloring.assign_greens_mask(sample_iid_coloring_mask(n, 0.5, rng));
+      std::uint64_t greens = 0;
+      sample_iid_coloring_words(&greens, 1, n, 0.5, rng);
+      coloring.assign_greens_words(&greens);
       session.reset(coloring);
       (void)strategy.run(session, rng);
     };

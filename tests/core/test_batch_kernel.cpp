@@ -1,5 +1,5 @@
 // Bit-sliced batch kernel (core/engine/batch_kernel.h): per-trial probe
-// counts from run_batch must be bit-identical to the scalar run_with path
+// counts from run_batch must be bit-identical to the reference run()
 // for every eligible strategy x family -- deterministic scans AND the
 // pre-drawing randomized-order strategies -- for full and partial lane
 // blocks, for the single-word and wide (portable W=4) kernel tables, and
@@ -132,7 +132,7 @@ std::vector<Case> batch_cases() {
   return cases;
 }
 
-TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
+TEST(BatchKernel, ProbeCountsMatchScalarRunPerLane) {
   // Both always-available kernel tables: kOff (W=1, the PR 5 shape) and
   // kPortable (W=4) -- the latter exercises multi-lane-word blocks and a
   // partial final lane word.  Randomized strategies pre-draw per lane in
@@ -161,7 +161,7 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
           for (std::size_t t = 0; t < count; ++t) {
             ws.coloring().assign_greens_words(masks.data() + t * stride);
             ProbeSession& session = ws.begin_trial(ws.coloring());
-            (void)c.strategy->run_with(ws, session, scalar_rng);
+            (void)c.strategy->run(session, scalar_rng);
             ASSERT_EQ(block.probe_count(t), session.probe_count())
                 << c.label << " isa=" << simd_isa_name(isa)
                 << " count=" << count << " p=" << p << " lane=" << t;
@@ -201,9 +201,9 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
       TrialWorkspace ws(63);
       Rng scalar_rng(4242);
       for (std::size_t t = 0; t < trials; ++t) {
-        ws.coloring().assign_greens_mask(masks[t]);
+        ws.coloring().assign_greens_words(&masks[t]);
         ProbeSession& session = ws.begin_trial(ws.coloring());
-        (void)strategy->run_with(ws, session, scalar_rng);
+        (void)strategy->run(session, scalar_rng);
         scalar.add(static_cast<double>(session.probe_count()));
       }
       EXPECT_EQ(batch.count(), scalar.count());
@@ -215,13 +215,20 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
   }
 }
 
-EngineOptions engine_options(std::size_t threads, Execution execution) {
+EngineOptions engine_options(std::size_t threads) {
   EngineOptions options;
   options.trials = 5990;     // last batch is partial
   options.batch_size = 500;  // blocks of 64 end with a 52-lane partial
   options.threads = threads;
   options.seed = 42;
-  options.execution = execution;
+  return options;
+}
+
+/// The same options on the engine's scalar path: validating witnesses
+/// needs materialized witnesses, so every trial runs through run().
+EngineOptions scalar_options(std::size_t threads) {
+  EngineOptions options = engine_options(threads);
+  options.validate_witnesses = true;
   return options;
 }
 
@@ -230,10 +237,10 @@ TEST(BatchKernel, EngineBitSlicedIsBitIdenticalToScalarForEveryFamily) {
     for (const std::size_t threads : {1u, 4u}) {
       for (const double p : {0.3, 0.7}) {
         const RunningStats scalar =
-            ParallelEstimator(engine_options(threads, Execution::kScalar))
+            ParallelEstimator(scalar_options(threads))
                 .estimate_ppc(*c.system, *c.strategy, p);
         const RunningStats sliced =
-            ParallelEstimator(engine_options(threads, Execution::kBitSliced))
+            ParallelEstimator(engine_options(threads))
                 .estimate_ppc(*c.system, *c.strategy, p);
         ASSERT_EQ(sliced.count(), scalar.count()) << c.label;
         ASSERT_EQ(sliced.mean(), scalar.mean()) << c.label;
@@ -249,11 +256,11 @@ TEST(BatchKernel, EngineBitSlicedIsThreadCountInvariant) {
   const TreeSystem tree(5);
   const ProbeTree strategy(tree);
   const RunningStats baseline =
-      ParallelEstimator(engine_options(1, Execution::kBitSliced))
+      ParallelEstimator(engine_options(1))
           .estimate_ppc(tree, strategy, 0.4);
   for (const std::size_t threads : {2u, 4u, 8u}) {
     const RunningStats stats =
-        ParallelEstimator(engine_options(threads, Execution::kBitSliced))
+        ParallelEstimator(engine_options(threads))
             .estimate_ppc(tree, strategy, 0.4);
     EXPECT_EQ(stats.count(), baseline.count()) << threads;
     EXPECT_EQ(stats.mean(), baseline.mean()) << threads;
@@ -268,7 +275,7 @@ TEST(BatchKernel, EngineSimdChoiceNeverChangesTheStatistics) {
   // that may differ.  (The full per-strategy ISA sweep is test_simd.cpp.)
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
-  auto options = engine_options(2, Execution::kBitSliced);
+  auto options = engine_options(2);
   options.simd = SimdIsa::kOff;
   const RunningStats baseline =
       ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
@@ -287,13 +294,13 @@ TEST(BatchKernel, EngineSimdChoiceNeverChangesTheStatistics) {
 TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
-  auto options = engine_options(4, Execution::kBitSliced);
+  auto options = engine_options(4);
   options.trials = 100000;
   options.target_sem = 0.05;
   options.min_trials = 2000;
   const RunningStats sliced =
       ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
-  options.execution = Execution::kScalar;
+  options.validate_witnesses = true;  // the scalar run() path
   const RunningStats scalar =
       ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
   EXPECT_LT(sliced.count(), options.trials);  // the stop actually fired
@@ -303,23 +310,23 @@ TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
 
 TEST(BatchKernel, StrategiesWithoutAKernelFallBackUnchanged) {
   // The greedy baseline and IR_Probe_HQS have no bit-sliced kernel (their
-  // probe order depends on observed colors mid-run); kBitSliced with such
-  // a strategy is exactly the scalar path.
+  // probe order depends on observed colors mid-run); the engine runs them
+  // on the scalar path, with or without witness validation.
   const MajoritySystem maj(21);
   const GreedyCandidateProbe greedy(maj);
   EXPECT_FALSE(greedy.supports_batch(21));
   const HQSystem hqs(3);
   const IRProbeHQS ir(hqs);
   EXPECT_FALSE(ir.supports_batch(hqs.universe_size()));
-  auto sliced_options = engine_options(2, Execution::kBitSliced);
+  auto sliced_options = engine_options(2);
   sliced_options.trials = 500;  // the greedy baseline is slow per trial
   sliced_options.batch_size = 64;
-  auto scalar_options = sliced_options;
-  scalar_options.execution = Execution::kScalar;
+  auto validating_options = sliced_options;
+  validating_options.validate_witnesses = true;
   const RunningStats sliced =
       ParallelEstimator(sliced_options).estimate_ppc(maj, greedy, 0.5);
   const RunningStats scalar =
-      ParallelEstimator(scalar_options).estimate_ppc(maj, greedy, 0.5);
+      ParallelEstimator(validating_options).estimate_ppc(maj, greedy, 0.5);
   EXPECT_EQ(sliced.count(), scalar.count());
   EXPECT_EQ(sliced.mean(), scalar.mean());
   EXPECT_EQ(sliced.variance(), scalar.variance());
@@ -348,9 +355,8 @@ TEST(BatchKernel, SupportsBatchRespectsStructuralEligibility) {
 }
 
 TEST(BatchKernel, ValidationRequestsFallBackToTheValidatingScalarPath) {
-  // A broken strategy must still be caught when the engine default
-  // (kBitSliced) is combined with validate_witnesses: validation is a
-  // scalar-path concern and forces the fallback.
+  // A broken strategy must still be caught even when it claims a batch
+  // kernel: validation is a scalar-path concern and forces the fallback.
   class Broken final : public ProbeStrategy {
    public:
     std::string name() const override { return "Broken"; }
@@ -366,7 +372,7 @@ TEST(BatchKernel, ValidationRequestsFallBackToTheValidatingScalarPath) {
   };
   const MajoritySystem maj(5);
   const Broken broken;
-  auto options = engine_options(2, Execution::kBitSliced);
+  auto options = engine_options(2);
   options.validate_witnesses = true;
   EXPECT_THROW(ParallelEstimator(options).estimate_ppc(maj, broken, 0.5),
                std::logic_error);

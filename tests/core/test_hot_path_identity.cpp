@@ -1,16 +1,18 @@
-// Bit-identity of the zero-allocation hot path against the generic path.
+// Bit-identity of the engine's fast path against the reference run().
 //
 // Two layers of guarantees:
-//  * Strategy layer: for every strategy x family, run() (legacy,
-//    self-allocating) and run_with() (workspace-backed) must return the
-//    same witness at the same probe cost for equal generator states, on
-//    any coloring.
-//  * Engine layer: estimate_ppc / expected_probes_on on the hot path must
-//    be bit-identical across thread counts, and with the kPerElement
-//    sampler bit-identical to the generic run() path (same colorings, same
-//    interleaving, same stats).
+//  * Strategy layer: for every strategy x family, run_batch() reproduces a
+//    loop of run() calls lane for lane -- the same probe count on every
+//    lane's coloring and the same Rng draws in trial order.  Strategies
+//    without a batch kernel run run() on a reused session, which must
+//    match a fresh session per trial.
+//  * Engine layer: estimate_ppc and expected_probes_on return bitwise the
+//    statistics of a hand loop of run() over the same per-batch streams
+//    (Rng::for_stream(seed, k)) and the same colorings, for any thread
+//    count, with a partial last batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/algorithms/probe_maj.h"
 #include "core/algorithms/probe_tree.h"
 #include "core/algorithms/random_order.h"
+#include "core/engine/batch_kernel.h"
 #include "core/engine/trial_workspace.h"
 #include "core/estimator.h"
 #include "quorum/crumbling_wall.h"
@@ -77,6 +80,9 @@ std::vector<Case> all_cases() {
   add("R_Probe_HQS/Hqs3", hqs3, std::make_shared<RProbeHQS>(*hqs3));
   add("IR_Probe_HQS/Hqs3", hqs3, std::make_shared<IRProbeHQS>(*hqs3));
 
+  auto hqs4 = std::make_shared<HQSystem>(4);  // n = 81: vector supports
+  add("IR_Probe_HQS/Hqs4", hqs4, std::make_shared<IRProbeHQS>(*hqs4));
+
   auto cw4 = std::make_shared<CrumblingWall>(CrumblingWall::triang(4));
   add("Probe_CW/Triang4", cw4, std::make_shared<ProbeCW>(*cw4));
   add("R_Probe_CW/Triang4", cw4, std::make_shared<RProbeCW>(*cw4));
@@ -87,33 +93,58 @@ std::vector<Case> all_cases() {
   return cases;
 }
 
-TEST(HotPathIdentity, RunAndRunWithAgreeOnEveryStrategyAndFamily) {
+TEST(HotPathIdentity, RunBatchAndRunAgreeOnEveryStrategyAndFamily) {
+  const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);
   for (const Case& c : all_cases()) {
     const std::size_t n = c.system->universe_size();
-    TrialWorkspace ws(n);
+    const std::size_t stride = (n + 63) / 64;
+    const std::size_t trials = 100;
+    std::vector<std::uint64_t> masks(trials * stride);
     Rng sample_rng(20010826);
-    for (int trial = 0; trial < 100; ++trial) {
-      const double p = 0.2 + 0.2 * static_cast<double>(trial % 4);
-      const Coloring coloring = sample_iid_coloring(n, p, sample_rng);
-      Rng legacy_rng(1000 + trial), hot_rng(1000 + trial);
+    sample_iid_coloring_words(masks.data(), trials, n, 0.4, sample_rng);
 
-      ProbeSession legacy_session(coloring);
-      const Witness legacy = c.strategy->run(legacy_session, legacy_rng);
-
-      ProbeSession& hot_session = ws.begin_trial(coloring);
-      const Witness hot = c.strategy->run_with(ws, hot_session, hot_rng);
-
-      ASSERT_EQ(legacy_session.probe_count(), hot_session.probe_count())
-          << c.label << " trial " << trial;
-      ASSERT_EQ(legacy.color, hot.color) << c.label << " trial " << trial;
-      ASSERT_EQ(legacy.elements, hot.elements)
-          << c.label << " trial " << trial;
-      ASSERT_EQ(legacy_session.probed(), hot_session.probed())
-          << c.label << " trial " << trial;
-      // Both entry points must also have consumed the same randomness.
-      ASSERT_EQ(legacy_rng.next_u64(), hot_rng.next_u64())
-          << c.label << " trial " << trial;
+    // The engine's path for this strategy: the batch kernel where there is
+    // one, otherwise run() on a reused session.
+    std::vector<std::uint32_t> engine_counts;
+    Rng engine_rng(1000);
+    TrialWorkspace ws(n);
+    if (c.strategy->supports_batch(n)) {
+      BatchTrialBlock& block = ws.batch_block();
+      block.configure(kernels, n);
+      for (std::size_t off = 0; off < trials; off += block.lane_capacity()) {
+        const std::size_t lanes =
+            std::min(block.lane_capacity(), trials - off);
+        block.load(masks.data() + off * stride, lanes);
+        c.strategy->run_batch(block, engine_rng);
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+          engine_counts.push_back(block.probe_count(lane));
+      }
+    } else {
+      for (std::size_t t = 0; t < trials; ++t) {
+        ws.coloring().assign_greens_words(masks.data() + t * stride);
+        ProbeSession& session = ws.begin_trial(ws.coloring());
+        (void)c.strategy->run(session, engine_rng);
+        engine_counts.push_back(
+            static_cast<std::uint32_t>(session.probe_count()));
+      }
     }
+
+    // The reference: a fresh coloring and session per trial.
+    Rng reference_rng(1000);
+    for (std::size_t t = 0; t < trials; ++t) {
+      Coloring coloring(n);
+      coloring.assign_greens_words(masks.data() + t * stride);
+      ProbeSession session(coloring);
+      const Witness witness = c.strategy->run(session, reference_rng);
+      ASSERT_EQ(engine_counts[t], session.probe_count())
+          << c.label << " trial " << t;
+      ASSERT_EQ(validate_witness(*c.system, coloring, witness,
+                                 session.probed()),
+                "")
+          << c.label << " trial " << t;
+    }
+    // Both paths must also have consumed the same randomness.
+    EXPECT_EQ(engine_rng.next_u64(), reference_rng.next_u64()) << c.label;
   }
 }
 
@@ -124,35 +155,6 @@ EngineOptions engine_options(std::size_t threads) {
   options.batch_size = 512;
   options.seed = 42;
   return options;
-}
-
-TEST(HotPathIdentity, PerElementSamplerMatchesGenericEnginePath) {
-  // The generic path through the public run() API is exactly the pre-
-  // workspace engine trial; with the kPerElement sampler the hot path must
-  // reproduce it bit for bit, for deterministic and randomized strategies.
-  const MajoritySystem maj(21);
-  const ProbeMaj det(maj);
-  const RProbeMaj randomized(maj);
-  for (const ProbeStrategy* strategy :
-       {static_cast<const ProbeStrategy*>(&det),
-        static_cast<const ProbeStrategy*>(&randomized)}) {
-    for (std::size_t threads : {1u, 4u}) {
-      auto options = engine_options(threads);
-      const ParallelEstimator engine(options);
-      const RunningStats generic = engine.run([&](Rng& rng) {
-        const Coloring coloring = sample_iid_coloring(21, 0.4, rng);
-        return run_probe_trial(maj, *strategy, coloring, false, rng);
-      });
-      options.sampler = ColoringSampler::kPerElement;
-      const RunningStats hot =
-          ParallelEstimator(options).estimate_ppc(maj, *strategy, 0.4);
-      EXPECT_EQ(generic.count(), hot.count()) << threads;
-      EXPECT_EQ(generic.mean(), hot.mean()) << threads;
-      EXPECT_EQ(generic.variance(), hot.variance()) << threads;
-      EXPECT_EQ(generic.min(), hot.min()) << threads;
-      EXPECT_EQ(generic.max(), hot.max()) << threads;
-    }
-  }
 }
 
 TEST(HotPathIdentity, ExpectedProbesOnMatchesGenericEnginePath) {
@@ -169,6 +171,8 @@ TEST(HotPathIdentity, ExpectedProbesOnMatchesGenericEnginePath) {
   EXPECT_EQ(generic.count(), hot.count());
   EXPECT_EQ(generic.mean(), hot.mean());
   EXPECT_EQ(generic.variance(), hot.variance());
+  EXPECT_THROW(engine.expected_probes_on(maj, strategy, Coloring(14)),
+               std::invalid_argument);
 }
 
 TEST(HotPathIdentity, WordBatchSamplerIsThreadCountInvariant) {
@@ -207,6 +211,132 @@ TEST(HotPathIdentity, ValidationStillCatchesBadWitnessesOnTheHotPath) {
   options.validate_witnesses = true;
   EXPECT_THROW(ParallelEstimator(options).estimate_ppc(maj, broken, 0.5),
                std::logic_error);
+}
+
+// ---- Engine vs. a hand loop of run() -------------------------------------
+
+/// Every batch strategy on the paper families at n = 63, 64/65 where the
+/// family allows, and 81.
+std::vector<Case> engine_cases() {
+  std::vector<Case> cases;
+  const auto add = [&](std::string label,
+                       std::shared_ptr<const QuorumSystem> system,
+                       std::shared_ptr<const ProbeStrategy> strategy) {
+    cases.push_back({std::move(label), std::move(system), std::move(strategy)});
+  };
+  for (const std::size_t n : {63u, 65u, 81u}) {  // Maj needs odd n
+    auto maj = std::make_shared<MajoritySystem>(n);
+    const std::string tag = "/Maj" + std::to_string(n);
+    add("Probe_Maj" + tag, maj, std::make_shared<ProbeMaj>(*maj));
+    add("R_Probe_Maj" + tag, maj, std::make_shared<RProbeMaj>(*maj));
+    add("Random_Order" + tag, maj, std::make_shared<RandomOrderProbe>(*maj));
+  }
+  auto tree = std::make_shared<TreeSystem>(5);  // n = 63
+  add("Probe_Tree/Tree63", tree, std::make_shared<ProbeTree>(*tree));
+  add("R_Probe_Tree/Tree63", tree, std::make_shared<RProbeTree>(*tree));
+  auto hqs = std::make_shared<HQSystem>(4);  // n = 81
+  add("Probe_HQS/Hqs81", hqs, std::make_shared<ProbeHQS>(*hqs));
+  add("R_Probe_HQS/Hqs81", hqs, std::make_shared<RProbeHQS>(*hqs));
+  for (const std::size_t n : {63u, 64u, 65u, 81u}) {  // wheel: any n
+    auto wall = std::make_shared<CrumblingWall>(CrumblingWall::wheel(n));
+    const std::string tag = "/Wheel" + std::to_string(n);
+    add("Probe_CW" + tag, wall, std::make_shared<ProbeCW>(*wall));
+    add("R_Probe_CW" + tag, wall, std::make_shared<RProbeCW>(*wall));
+  }
+  return cases;
+}
+
+EngineOptions reference_options(std::size_t threads) {
+  EngineOptions options;
+  options.trials = 2250;     // the last batch is partial
+  options.batch_size = 500;  // ends in a partial super-block for any W
+  options.threads = threads;
+  options.seed = 20010826;
+  return options;
+}
+
+/// The engine's statistics rebuilt by hand: batch k draws from
+/// Rng::for_stream(seed, k), fills its green-mask rows with `fill`, plays
+/// each trial through run() on a fresh session, and the per-batch stats
+/// merge in batch order.
+template <typename Fill>
+RunningStats run_loop(const EngineOptions& options, const Case& c,
+                      Fill&& fill) {
+  const std::size_t n = c.system->universe_size();
+  const std::size_t stride = (n + 63) / 64;
+  RunningStats merged;
+  for (std::size_t k = 0, begin = 0; begin < options.trials;
+       ++k, begin += options.batch_size) {
+    const std::size_t count =
+        std::min(options.batch_size, options.trials - begin);
+    Rng rng = Rng::for_stream(options.seed, k);
+    std::vector<std::uint64_t> masks(count * stride);
+    fill(masks.data(), count, rng);
+    RunningStats batch;
+    for (std::size_t t = 0; t < count; ++t) {
+      Coloring coloring(n);
+      coloring.assign_greens_words(masks.data() + t * stride);
+      ProbeSession session(coloring);
+      (void)c.strategy->run(session, rng);
+      batch.add(static_cast<double>(session.probe_count()));
+    }
+    merged.merge(batch);
+  }
+  return merged;
+}
+
+void expect_bitwise_equal(const RunningStats& engine,
+                          const RunningStats& reference,
+                          const std::string& label) {
+  EXPECT_EQ(engine.count(), reference.count()) << label;
+  EXPECT_EQ(engine.mean(), reference.mean()) << label;
+  EXPECT_EQ(engine.variance(), reference.variance()) << label;
+  EXPECT_EQ(engine.min(), reference.min()) << label;
+  EXPECT_EQ(engine.max(), reference.max()) << label;
+}
+
+TEST(EngineReferenceIdentity, EstimatePpcMatchesAHandLoopOfRun) {
+  const double p = 0.45;
+  for (const Case& c : engine_cases()) {
+    const std::size_t n = c.system->universe_size();
+    ASSERT_TRUE(c.strategy->supports_batch(n)) << c.label;
+    const RunningStats reference = run_loop(
+        reference_options(1), c,
+        [n, p](std::uint64_t* masks, std::size_t count, Rng& rng) {
+          sample_iid_coloring_words(masks, count, n, p, rng);
+        });
+    for (const std::size_t threads : {1u, 3u}) {
+      const RunningStats engine = ParallelEstimator(reference_options(threads))
+                                      .estimate_ppc(*c.system, *c.strategy, p);
+      expect_bitwise_equal(engine, reference,
+                           c.label + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(EngineReferenceIdentity, ExpectedProbesOnMatchesAHandLoopOfRun) {
+  for (const Case& c : engine_cases()) {
+    const std::size_t n = c.system->universe_size();
+    const std::size_t stride = (n + 63) / 64;
+    Rng coloring_rng(7);
+    const Coloring coloring = sample_iid_coloring(n, 0.5, coloring_rng);
+    std::vector<std::uint64_t> row(stride, 0);
+    for (Element e = 0; e < n; ++e)
+      if (coloring.color(e) == Color::kGreen) row[e / 64] |= 1ULL << (e % 64);
+    const RunningStats reference = run_loop(
+        reference_options(1), c,
+        [&row, stride](std::uint64_t* masks, std::size_t count, Rng&) {
+          for (std::size_t t = 0; t < count; ++t)
+            std::copy(row.begin(), row.end(), masks + t * stride);
+        });
+    for (const std::size_t threads : {1u, 3u}) {
+      const RunningStats engine =
+          ParallelEstimator(reference_options(threads))
+              .expected_probes_on(*c.system, *c.strategy, coloring);
+      expect_bitwise_equal(engine, reference,
+                           c.label + " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // SIMD layer (core/engine/simd.h): ISA parsing/dispatch, the strided
 // multi-word transpose, and the word-boundary property matrix -- every
 // batchable strategy x family at n = 64/65/127/128/129 must be
-// bit-identical to the scalar path on every compiled ISA, including
+// bit-identical to the reference run() on every compiled ISA, including
 // partial final blocks, partial final lane words, and the all-dead /
 // all-live colorings.
 #include "core/engine/simd.h"
@@ -200,7 +200,7 @@ TEST(SimdBoundary, EveryIsaMatchesScalarPerLaneAcrossWordBoundaries) {
           for (std::size_t t = 0; t < count; ++t) {
             ws.coloring().assign_greens_words(masks.data() + t * stride);
             ProbeSession& session = ws.begin_trial(ws.coloring());
-            (void)c.strategy->run_with(ws, session, scalar_rng);
+            (void)c.strategy->run(session, scalar_rng);
             ASSERT_EQ(block.probe_count(t), session.probe_count())
                 << c.label << " isa=" << simd_isa_name(isa)
                 << " count=" << count << " p=" << p << " lane=" << t;
@@ -229,16 +229,16 @@ TEST(SimdBoundary, EngineStatisticsAreIsaInvariantAboveSixtyFourElements) {
     options.batch_size = 256;
     options.threads = 2;
     options.seed = 7;
-    options.execution = Execution::kBitSliced;
     options.simd = SimdIsa::kOff;
     const RunningStats baseline =
         ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.45);
-    options.execution = Execution::kScalar;
+    // Validating witnesses takes the scalar run() path.
+    options.validate_witnesses = true;
     const RunningStats scalar =
         ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.45);
     EXPECT_EQ(baseline.count(), scalar.count()) << c.strategy->name();
     EXPECT_EQ(baseline.mean(), scalar.mean()) << c.strategy->name();
-    options.execution = Execution::kBitSliced;
+    options.validate_witnesses = false;
     for (const SimdIsa isa : available_isas()) {
       options.simd = isa;
       const RunningStats stats =
@@ -267,7 +267,6 @@ TEST(SimdBoundary, BitSlicedEngineRunsCountSimdBlocks) {
   options.trials = 512;
   options.batch_size = 256;
   options.threads = 1;
-  options.execution = Execution::kBitSliced;
   (void)ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
   EXPECT_GT(blocks.value(), before);
 }

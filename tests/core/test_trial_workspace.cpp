@@ -13,7 +13,8 @@ namespace {
 
 TEST(TrialWorkspace, BeginTrialResetsAllProbeState) {
   TrialWorkspace ws(5);
-  ws.coloring().assign_greens_mask(0b00111);
+  const std::uint64_t first = 0b00111;
+  ws.coloring().assign_greens_words(&first);
   ProbeSession& session = ws.begin_trial(ws.coloring());
   session.probe(0);
   session.probe(3);
@@ -23,7 +24,8 @@ TEST(TrialWorkspace, BeginTrialResetsAllProbeState) {
   EXPECT_EQ(session.probed_reds().count(), 1u);
 
   // A new trial starts blank, bound to the refilled coloring.
-  ws.coloring().assign_greens_mask(0b11000);
+  const std::uint64_t second = 0b11000;
+  ws.coloring().assign_greens_words(&second);
   ProbeSession& again = ws.begin_trial(ws.coloring());
   EXPECT_EQ(&again, &session);  // same buffers, reused
   EXPECT_EQ(again.probe_count(), 0u);
@@ -42,11 +44,12 @@ TEST(TrialWorkspace, SessionRejectsWrongUniverse) {
 }
 
 TEST(TrialWorkspace, NoStateLeaksBetweenTrials) {
-  // Reusing one workspace across many trials must give exactly the results
-  // of a fresh session per trial, coloring by coloring.
+  // Reusing one workspace session across many trials must give exactly the
+  // results of a fresh session per trial, coloring by coloring.
   const MajoritySystem maj(21);
   const ProbeMaj det(maj);
   const RProbeMaj randomized(maj);
+  const GreedyCandidateProbe greedy(maj);
   TrialWorkspace ws(21);
   Rng sample_rng(7);
   Rng reused_rng(99), fresh_rng(99);
@@ -54,32 +57,19 @@ TEST(TrialWorkspace, NoStateLeaksBetweenTrials) {
     const Coloring coloring = sample_iid_coloring(21, 0.4, sample_rng);
     for (const ProbeStrategy* strategy :
          {static_cast<const ProbeStrategy*>(&det),
-          static_cast<const ProbeStrategy*>(&randomized)}) {
+          static_cast<const ProbeStrategy*>(&randomized),
+          static_cast<const ProbeStrategy*>(&greedy)}) {
       ProbeSession& reused = ws.begin_trial(coloring);
-      const Witness w_reused = strategy->run_with(ws, reused, reused_rng);
+      const Witness w_reused = strategy->run(reused, reused_rng);
       const std::size_t reused_count = reused.probe_count();
 
       ProbeSession fresh(coloring);
-      TrialWorkspace fresh_ws(21);
-      const Witness w_fresh =
-          strategy->run_with(fresh_ws, fresh, fresh_rng);
+      const Witness w_fresh = strategy->run(fresh, fresh_rng);
       ASSERT_EQ(reused_count, fresh.probe_count()) << "trial " << trial;
       ASSERT_EQ(w_reused.color, w_fresh.color) << "trial " << trial;
       ASSERT_EQ(w_reused.elements, w_fresh.elements) << "trial " << trial;
     }
   }
-}
-
-TEST(TrialWorkspace, WordBuffersAreIndependent) {
-  TrialWorkspace ws(10);
-  ws.word_buffer(0).assign(3, 1);
-  ws.word_buffer(1).assign(2, 2);
-  EXPECT_EQ(ws.word_buffer(0).size(), 3u);
-  EXPECT_EQ(ws.word_buffer(1).size(), 2u);
-  EXPECT_EQ(ws.word_buffer(0)[0], 1u);
-  EXPECT_EQ(ws.word_buffer(1)[0], 2u);
-  EXPECT_THROW(ws.word_buffer(TrialWorkspace::kWordBufferCount),
-               std::out_of_range);
 }
 
 TEST(TrialWorkspace, ColoringMasksGrowAndPersist) {
@@ -97,12 +87,12 @@ TEST(TrialWorkspace, GreedyUsesWorkspaceBuffersCorrectly) {
   const GreedyCandidateProbe greedy(maj);
   TrialWorkspace ws(5);
   Rng rng(1);
-  // Greens {0,1,2} form a quorum; greedy must certify green in 3 probes
-  // whichever buffers it runs on -- and again after buffer reuse.
+  // Greens {0,1,2} form a quorum; greedy must certify green in 3 probes on
+  // the workspace's session -- and again after the session is reused.
   const Coloring coloring(5, ElementSet(5, {0, 1, 2}));
   for (int repeat = 0; repeat < 3; ++repeat) {
     ProbeSession& session = ws.begin_trial(coloring);
-    const Witness w = greedy.run_with(ws, session, rng);
+    const Witness w = greedy.run(session, rng);
     EXPECT_EQ(w.color, Color::kGreen);
     EXPECT_EQ(session.probe_count(), 3u);
   }
