@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -64,6 +65,17 @@ std::uint64_t binom(std::size_t n, std::size_t k) {
   return binomial_table()[n][k];
 }
 
+/// The largest adjacent level pair, max_k C(n,k) 2^k + C(n,k+1) 2^(k+1)
+/// states (level n alone when n is tiny): the size of a solve's arena and
+/// the state term of dp_peak_bytes(), so the guard and the allocation
+/// cannot disagree.
+std::size_t peak_pair_states(std::size_t n) {
+  std::size_t peak = dp_state_count(n, n);
+  for (std::size_t k = 0; k < n; ++k)
+    peak = std::max(peak, dp_state_count(n, k) + dp_state_count(n, k + 1));
+  return peak;
+}
+
 /// Expands compressed green index `idx` back into a submask of `mask`.
 std::uint64_t expand_submask(std::size_t idx, std::uint64_t mask) {
   std::uint64_t out = 0;
@@ -75,6 +87,63 @@ std::uint64_t expand_submask(std::size_t idx, std::uint64_t mask) {
     mask ^= low;
   }
   return out;
+}
+
+/// One child of a probed block: the probed element, the compressed
+/// position it occupies in level k+1 (greens indices gain one bit there),
+/// and the child block's values and weights.
+template <class Value>
+struct Child {
+  std::uint8_t element;
+  std::uint8_t insert_pos;
+  const Value* values;
+  const double* weights;
+};
+
+/// Child passes whose contiguous runs are shorter than this walk the row
+/// state by state instead of run by run: on such short runs the per-run
+/// loop set-up costs more than vectorizing the run saves, which made
+/// small-n solves slower than the state-at-a-time kernel.
+constexpr std::size_t kMinRun = 8;
+
+/// One child pass over the row segment [lo, hi) of compressed greens
+/// indices: best[i] (and arg[i] with kTrackArg) take the child's probe
+/// cost wherever it is strictly smaller.  Greens index g has its red child
+/// at g + (g & ~(half-1)) and its green child half = 2^insert_pos above,
+/// so within an aligned run of `half` indices both are contiguous and the
+/// pass is a branch-free loop the compiler can vectorize.
+template <bool kTrackArg, class Policy>
+void relax_child(const Policy& policy, const Child<typename Policy::Value>& child,
+                 std::size_t lo, std::size_t hi, typename Policy::Value* best,
+                 std::uint8_t* arg) {
+  const std::size_t half = std::size_t{1} << child.insert_pos;
+  const std::size_t high = ~(half - 1);
+  const std::uint8_t element = child.element;
+  const auto* const values = child.values;
+  const double* const weights = child.weights;
+  const auto relax = [&](std::size_t i, std::size_t red) {
+    const std::size_t green = red + half;
+    typename Policy::Value candidate;
+    if constexpr (Policy::kWeighted) {
+      candidate = policy.probe_cost(values[green], values[red], weights[green],
+                                    weights[red]);
+    } else {
+      candidate = policy.probe_cost(values[green], values[red]);
+    }
+    const bool better = candidate < best[i];
+    best[i] = better ? candidate : best[i];
+    if constexpr (kTrackArg) arg[i] = better ? element : arg[i];
+  };
+  if (half < kMinRun) {
+    for (std::size_t g = lo; g < hi; ++g) relax(g - lo, g + (g & high));
+    return;
+  }
+  for (std::size_t g = lo; g < hi;) {
+    const std::size_t run = std::min(hi, (g | (half - 1)) + 1) - g;
+    const std::size_t red = g + (g & high);
+    for (std::size_t i = 0; i < run; ++i) relax(g - lo + i, red + i);
+    g += run;
+  }
 }
 
 }  // namespace
@@ -133,15 +202,10 @@ std::size_t dp_state_count(std::size_t n, std::size_t k) {
 std::size_t dp_peak_bytes(std::size_t n, std::size_t value_bytes,
                           bool weighted, bool record_policy) {
   const std::size_t per_state = value_bytes + (weighted ? sizeof(double) : 0);
-  std::size_t peak_pair = dp_state_count(n, n);
   std::size_t argmin_total = 0;
-  for (std::size_t k = 0; k <= n; ++k) {
+  for (std::size_t k = 0; k <= n; ++k)
     argmin_total += dp_state_count(n, k);  // sums to 3^n
-    if (k < n)
-      peak_pair = std::max(peak_pair,
-                           dp_state_count(n, k) + dp_state_count(n, k + 1));
-  }
-  return peak_pair * per_state + (std::size_t{1} << n) +
+  return peak_pair_states(n) * per_state + (std::size_t{1} << n) +
          (record_policy ? argmin_total : 0);
 }
 
@@ -186,11 +250,26 @@ void DpKernel<Policy>::solve() {
   metrics.solves.increment();
   ThreadPool pool(options_.threads);
 
-  std::vector<Value> values_next;
-  std::vector<Value> values_cur;
-  std::vector<double> weights_next;
-  std::vector<double> weights_cur;
+  // One arena for the whole solve (and a second one for the weights of a
+  // weighted policy), holding the largest adjacent level pair: even levels
+  // at its front, odd levels at its back, so the level being written never
+  // overlaps the one it reads.  It is not zero-filled: every state of a
+  // level is written before the level below reads it, and the pool's
+  // workers touch each page first.
+  constexpr std::size_t kWeightBytes = Policy::kWeighted ? sizeof(double) : 0;
+  const std::size_t slots = peak_pair_states(n_);
+  std::unique_ptr<Value[]> values_arena;
+  std::unique_ptr<double[]> weights_arena;
+  try {
+    values_arena = std::make_unique_for_overwrite<Value[]>(slots);
+    if constexpr (Policy::kWeighted)
+      weights_arena = std::make_unique_for_overwrite<double[]>(slots);
+  } catch (const std::bad_alloc&) {
+    throw BudgetExceeded(n_, n_, slots * (sizeof(Value) + kWeightBytes));
+  }
 
+  const Value* values_next = nullptr;
+  const double* weights_next = nullptr;
   for (std::size_t k = n_ + 1; k-- > 0;) {
     QPS_TRACE_SPAN("exact/level", "exact");
     std::uint64_t level_t0 = 0;
@@ -198,40 +277,41 @@ void DpKernel<Policy>::solve() {
     const std::size_t total = dp_state_count(n_, k);
     try {
       QPS_FAULT_POINT("exact/level_alloc");  // alloc action: forced OOM here
-      values_cur.assign(total, Value{});
-      if constexpr (Policy::kWeighted) weights_cur.assign(total, 0.0);
       if (options_.record_policy) argmin_tables_[k].assign(total, kDpNoProbe);
     } catch (const std::bad_alloc&) {
-      const std::size_t bytes =
-          total * (sizeof(Value) + (Policy::kWeighted ? sizeof(double) : 0) +
-                   (options_.record_policy ? 1 : 0));
-      throw BudgetExceeded(n_, k, bytes);
+      throw BudgetExceeded(
+          n_, k,
+          total * (sizeof(Value) + kWeightBytes +
+                   (options_.record_policy ? 1 : 0)));
     }
+    const std::size_t offset = k % 2 == 0 ? 0 : slots - total;
+    Value* const values = values_arena.get() + offset;
+    double* const weights =
+        Policy::kWeighted ? weights_arena.get() + offset : nullptr;
     if constexpr (Policy::kWeighted) {
       const std::size_t blocks = static_cast<std::size_t>(binom(n_, k));
       pool.parallel_for(0, blocks, 64,
                         [&](std::size_t block_begin, std::size_t block_end) {
                           scatter_weights_range(k, block_begin, block_end,
-                                                weights_cur);
+                                                weights);
                         });
     }
-    std::vector<std::uint8_t>* argmin =
-        options_.record_policy ? &argmin_tables_[k] : nullptr;
+    std::uint8_t* const argmin =
+        options_.record_policy ? argmin_tables_[k].data() : nullptr;
     pool.parallel_for(0, total, kStateGrain,
                       [&](std::size_t state_begin, std::size_t state_end) {
                         evaluate_states(k, state_begin, state_end, values_next,
-                                        weights_next, values_cur, argmin);
+                                        weights_next, values, argmin);
                       });
-    values_next = std::move(values_cur);
-    if constexpr (Policy::kWeighted) weights_next = std::move(weights_cur);
+    values_next = values;
+    weights_next = weights;
     metrics.levels.increment();
     if constexpr (obs::kMetricsCompiled) {
       metrics.level_us.record(obs::monotonic_us() - level_t0);
       // Live DP frontier: the level just produced, plus its weights when
       // the policy carries them.
-      metrics.frontier_bytes.set(static_cast<std::int64_t>(
-          values_next.size() * sizeof(Value) +
-          (Policy::kWeighted ? weights_next.size() * sizeof(double) : 0)));
+      metrics.frontier_bytes.set(
+          static_cast<std::int64_t>(total * (sizeof(Value) + kWeightBytes)));
     }
   }
   root_value_ = values_next[0];
@@ -241,14 +321,14 @@ template <class Policy>
 void DpKernel<Policy>::scatter_weights_range(std::size_t k,
                                              std::size_t block_begin,
                                              std::size_t block_end,
-                                             std::vector<double>& weights)
-    const {
+                                             double* weights) const {
   if constexpr (Policy::kWeighted) {
     const std::vector<std::uint64_t>& support = policy_.support();
     const std::vector<double>& weight = policy_.weights();
     std::uint64_t probed = detail::colex_unrank(block_begin, k);
     for (std::size_t b = block_begin; b < block_end; ++b) {
-      double* slot = weights.data() + (b << k);
+      double* slot = weights + (b << k);
+      std::fill_n(slot, std::size_t{1} << k, 0.0);
       for (std::size_t i = 0; i < support.size(); ++i)
         slot[detail::compress_submask(support[i] & probed, probed)] +=
             weight[i];
@@ -263,95 +343,81 @@ void DpKernel<Policy>::scatter_weights_range(std::size_t k,
 }
 
 template <class Policy>
-void DpKernel<Policy>::evaluate_states(
-    std::size_t k, std::size_t state_begin, std::size_t state_end,
-    const std::vector<Value>& next_values,
-    const std::vector<double>& next_weights, std::vector<Value>& values,
-    std::vector<std::uint8_t>* argmin) {
+void DpKernel<Policy>::evaluate_states(std::size_t k, std::size_t state_begin,
+                                       std::size_t state_end,
+                                       const Value* next_values,
+                                       const double* next_weights,
+                                       Value* values, std::uint8_t* argmin) {
   const std::uint64_t full = table_->full_mask();
 
-  // Per-child lookup tables, rebuilt once per probed block: the child's
-  // dense base in level k+1 and the compressed position the probed element
-  // occupies there (greens indices gain one bit at that position).
-  struct Child {
-    std::uint8_t element;
-    std::uint8_t insert_pos;
-    const Value* values;
-    const double* weights;
-  };
-  std::array<Child, kMaxUniverse> children{};
+  std::array<Child<Value>, kMaxUniverse> children{};
+  // A chunk holds at most kStateGrain states, so any row segment fits.
+  std::array<std::uint8_t, kStateGrain> terminal{};
+  std::array<std::uint8_t, kStateGrain> arg_scratch{};
+  // The argmin is kept for the recorded policy and for the root.
+  const bool track_arg = argmin != nullptr || k == 0;
 
   std::size_t b = state_begin >> k;
   std::uint64_t probed = detail::colex_unrank(b, k);
-  while ((b << k) < state_end) {
+  for (; (b << k) < state_end;
+       ++b, probed = detail::next_same_popcount(probed)) {
     const std::size_t block_lo = b << k;
-    const std::size_t lo = std::max(state_begin, block_lo);
+    const std::size_t lo = std::max(state_begin, block_lo) - block_lo;
     const std::size_t hi =
-        std::min(state_end, block_lo + (std::size_t{1} << k));
+        std::min(state_end, block_lo + (std::size_t{1} << k)) - block_lo;
+    const std::size_t count = hi - lo;
     const std::uint64_t unprobed = full & ~probed;
+    Value* const best = values + block_lo + lo;
+    std::uint8_t* const arg =
+        argmin != nullptr ? argmin + block_lo + lo : arg_scratch.data();
 
-    std::size_t child_count = 0;
-    for (std::size_t e = 0; e < n_; ++e) {
-      const std::uint64_t bit = 1ULL << e;
-      if (probed & bit) continue;
-      const std::size_t child_base = detail::colex_rank(probed | bit)
-                                     << (k + 1);
-      Child child{static_cast<std::uint8_t>(e),
-                  static_cast<std::uint8_t>(std::popcount(probed & (bit - 1))),
-                  next_values.data() + child_base, nullptr};
-      if constexpr (Policy::kWeighted)
-        child.weights = next_weights.data() + child_base;
-      children[child_count++] = child;
+    // Terminal flags, greens in ascending compressed-index order: setting
+    // the unprobed bits makes the +1 carry straight across them.
+    std::uint64_t greens = expand_submask(lo, probed);
+    std::size_t terminal_count = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      terminal[i] = table_->contains_quorum(greens) |
+                    !table_->contains_quorum(greens | unprobed);
+      terminal_count += terminal[i];
+      greens = ((greens | ~probed) + 1) & probed;
     }
 
-    // Submask enumeration in descending compressed-index order: stepping
-    // (greens - 1) & probed walks gidx down by exactly one.
-    std::size_t gidx = hi - 1 - block_lo;
-    std::uint64_t greens = expand_submask(gidx, probed);
-    for (;;) {
-      Value value;
-      std::uint8_t arg = kDpNoProbe;
-      if (table_->contains_quorum(greens) ||
-          !table_->contains_quorum(greens | unprobed)) {
-        value = policy_.terminal_value();
-      } else {
-        Value best = policy_.init_value(n_);
-        for (std::size_t c = 0; c < child_count; ++c) {
-          const Child& child = children[c];
-          const std::uint32_t low =
-              static_cast<std::uint32_t>(gidx) &
-              ((1u << child.insert_pos) - 1);
-          const std::uint32_t red_idx =
-              ((static_cast<std::uint32_t>(gidx >> child.insert_pos))
-               << (child.insert_pos + 1)) |
-              low;
-          const std::uint32_t green_idx = red_idx | (1u << child.insert_pos);
-          Value candidate;
-          if constexpr (Policy::kWeighted) {
-            candidate = policy_.probe_cost(
-                child.values[green_idx], child.values[red_idx],
-                child.weights[green_idx], child.weights[red_idx]);
-          } else {
-            candidate = policy_.probe_cost(child.values[green_idx],
-                                           child.values[red_idx]);
-          }
-          if (candidate < best) {
-            best = candidate;
-            arg = child.element;
-          }
-        }
-        value = best;
+    if (terminal_count < count) {
+      std::size_t child_count = 0;
+      for (std::size_t e = 0; e < n_; ++e) {
+        const std::uint64_t bit = 1ULL << e;
+        if (probed & bit) continue;
+        const std::size_t child_base = detail::colex_rank(probed | bit)
+                                       << (k + 1);
+        Child<Value> child{
+            static_cast<std::uint8_t>(e),
+            static_cast<std::uint8_t>(std::popcount(probed & (bit - 1))),
+            next_values + child_base, nullptr};
+        if constexpr (Policy::kWeighted)
+          child.weights = next_weights + child_base;
+        children[child_count++] = child;
       }
-      values[block_lo + gidx] = value;
-      if (argmin != nullptr) (*argmin)[block_lo + gidx] = arg;
-      if (k == 0) root_probe_ = arg == kDpNoProbe ? n_ : arg;
-      if (gidx == lo - block_lo) break;
-      --gidx;
-      greens = (greens - 1) & probed;
+
+      // One pass per child in ascending element order with a strict <:
+      // the argmin the state-at-a-time recursion takes, and the same
+      // operations per state, so values stay bit-identical.
+      std::fill_n(best, count, policy_.init_value(n_));
+      std::fill_n(arg, count, kDpNoProbe);
+      for (std::size_t c = 0; c < child_count; ++c) {
+        if (track_arg)
+          relax_child<true>(policy_, children[c], lo, hi, best, arg);
+        else
+          relax_child<false>(policy_, children[c], lo, hi, best, arg);
+      }
     }
 
-    ++b;
-    probed = detail::next_same_popcount(probed);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (terminal[i]) {
+        best[i] = policy_.terminal_value();
+        arg[i] = kDpNoProbe;
+      }
+    }
+    if (k == 0) root_probe_ = arg[0] == kDpNoProbe ? n_ : arg[0];
   }
 }
 

@@ -20,15 +20,31 @@
 // rank order), and within a probed block the green subset is addressed by
 // its compressed index (greens' bits packed into the low k positions).
 // Only two levels are alive at a time -- the one being written and the one
-// it reads -- so the working set is two frontier buffers instead of a
-// global memo, and the practical cap moves from the old n <= 14 to
-// n >= 18 (the exact bound is the memory formula in dp_peak_bytes()).
+// it reads -- so a solve allocates one arena sized for the largest
+// adjacent level pair instead of a global memo, and the practical cap
+// moves from the old n <= 14 to n >= 18 (the exact bound is the memory
+// formula in dp_peak_bytes()).  Even levels live at the arena's front and
+// odd levels at its back, so a level never overlaps the one it reads.  The
+// arena is not zero-filled: every state of a level is written before it
+// is read, and the pages are first touched by the workers that write them.
 //
 // States within a level are independent (transitions only reach level
 // k+1), so the kernel evaluates them in parallel on a reusable ThreadPool:
 // the flat state range is carved into fixed-size chunks with disjoint
 // output slots and no cross-thread reduction, making the results
 // bit-identical for any thread count, including 1.
+//
+// A chunk is evaluated one row (probed block) at a time.  The row's
+// terminal flags come first; a row that is all terminal is done.
+// Otherwise the kernel makes one pass per unprobed child, in ascending
+// element order, over the whole row: within runs of 2^pos consecutive
+// greens indices (pos = the child's insert position) the red and green
+// children are contiguous, so each pass is branch-free and, over runs of
+// eight or more states, a loop the compiler vectorizes (unless the pass
+// also records the argmin).  Each state still sees the same candidate
+// costs, in the same order, under the same strict-< argmin as the
+// state-at-a-time recursion, so PPC values stay bit-identical to the
+// legacy engine.
 //
 // The kernel also records the Bellman argmin: the root's optimal first
 // probe always, and (with DpOptions::record_policy) the argmin element of
@@ -48,13 +64,14 @@
 
 namespace qps::exact {
 
-/// Thrown when a mid-solve frontier allocation fails: the upfront
+/// Thrown when a solve's allocation fails: the upfront
 /// require_dp_feasible() formula admitted the solve but the OS could not
-/// actually back the level buffers (overcommit, cgroup limits, memory
-/// pressure from neighbors).  Structured degradation -- callers can shrink
-/// n or retry -- instead of an uncaught bad_alloc tearing the process
-/// down.  Deterministically exercised via the "exact/level_alloc" fault
-/// point.
+/// actually back the level arena (reported at level k = n) or a level's
+/// argmin table (overcommit, cgroup limits, memory pressure from
+/// neighbors).  Structured degradation -- callers can shrink n or retry --
+/// instead of an uncaught bad_alloc tearing the process down.
+/// Deterministically exercised via the "exact/level_alloc" fault point,
+/// which is hit once per level before the level is written.
 class BudgetExceeded : public std::runtime_error {
  public:
   BudgetExceeded(std::size_t n, std::size_t level, std::size_t bytes)
@@ -233,14 +250,11 @@ class DpKernel {
  private:
   void solve();
   void scatter_weights_range(std::size_t k, std::size_t block_begin,
-                             std::size_t block_end,
-                             std::vector<double>& weights) const;
+                             std::size_t block_end, double* weights) const;
   void evaluate_states(std::size_t k, std::size_t state_begin,
-                       std::size_t state_end,
-                       const std::vector<Value>& next_values,
-                       const std::vector<double>& next_weights,
-                       std::vector<Value>& values,
-                       std::vector<std::uint8_t>* argmin);
+                       std::size_t state_end, const Value* next_values,
+                       const double* next_weights, Value* values,
+                       std::uint8_t* argmin);
 
   Policy policy_;
   DpOptions options_;

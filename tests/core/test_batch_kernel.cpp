@@ -311,10 +311,11 @@ TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
 TEST(BatchKernel, StrategiesWithoutAKernelFallBackUnchanged) {
   // The greedy baseline and IR_Probe_HQS have no bit-sliced kernel (their
   // probe order depends on observed colors mid-run); the engine runs them
-  // on the scalar path, with or without witness validation.
-  const MajoritySystem maj(21);
+  // on the scalar path, with or without witness validation.  Maj9 keeps
+  // the greedy baseline's per-trial quorum scan small (126 quorums).
+  const MajoritySystem maj(9);
   const GreedyCandidateProbe greedy(maj);
-  EXPECT_FALSE(greedy.supports_batch(21));
+  EXPECT_FALSE(greedy.supports_batch(9));
   const HQSystem hqs(3);
   const IRProbeHQS ir(hqs);
   EXPECT_FALSE(ir.supports_batch(hqs.universe_size()));

@@ -15,6 +15,7 @@
 #include "core/exact/pc_exact.h"
 #include "core/exact/ppc_exact.h"
 #include "core/exact/yao_bound.h"
+#include "core/formulas.h"
 #include "util/stats.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/grid_system.h"
@@ -121,6 +122,51 @@ TEST(DpKernel, ResultsAreBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(yao_bound(maj9, hard, one), yao_bound(maj9, hard, many))
         << "threads=" << threads;
   }
+}
+
+// At n = 15, levels k >= 13 have rows of 2^k > 4096 states, more than one
+// parallel chunk, so each such row is evaluated in pieces by different
+// workers.  The legacy differential tests above stop at n = 12, where
+// every row fits in one chunk.
+TEST(DpKernel, PpcMatchesClosedFormWhenRowsSplitAcrossChunks) {
+  // Prop. 3.2: the arbitrary-order prober is optimal for Maj.
+  const MajoritySystem maj(15);
+  for (double p : {0.3, 0.5})
+    EXPECT_NEAR(ppc_exact(maj, p), probe_maj_expected(15, p), 1e-12)
+        << "p=" << p;
+}
+
+TEST(DpKernel, PcIsEvasiveWhenRowsSplitAcrossChunks) {
+  // Lemma 2.2: Maj and Tree are evasive, PC = n.
+  EXPECT_EQ(pc_exact(MajoritySystem(15)), 15u);
+  EXPECT_EQ(pc_exact(TreeSystem(3)), 15u);
+}
+
+TEST(DpKernel, SplitRowsAreBitIdenticalAcrossThreadCounts) {
+  const TreeSystem tree(3);
+  exact::DpOptions one;
+  one.threads = 1;
+  const double ppc = ppc_exact(tree, 0.3, one);
+  const std::size_t pc = pc_exact(tree, one);
+  for (std::size_t threads : {3u, 7u}) {
+    exact::DpOptions many;
+    many.threads = threads;
+    EXPECT_EQ(ppc_exact(tree, 0.3, many), ppc) << "threads=" << threads;
+    EXPECT_EQ(pc_exact(tree, many), pc) << "threads=" << threads;
+  }
+}
+
+TEST(DpKernel, RecordedPolicyMatchesRootProbeWhenRowsSplit) {
+  // The recorded argmin tables and the root-only argmin come from the
+  // same child passes; so must the value, with or without recording.
+  const CrumblingWall wall({1, 2, 3, 4, 5});
+  exact::DpOptions options;
+  options.record_policy = true;
+  const exact::DpKernel<exact::ExpectationPolicy> kernel(
+      wall, exact::ExpectationPolicy(0.3), options);
+  EXPECT_EQ(kernel.policy_probe(0, 0), ppc_optimal_first_probe(wall, 0.3));
+  EXPECT_EQ(kernel.policy_probe(0, 0), kernel.root_probe());
+  EXPECT_EQ(kernel.root_value(), ppc_exact(wall, 0.3));
 }
 
 TEST(DpKernel, PpcAgreesWithMonteCarloOptimalStrategy) {
