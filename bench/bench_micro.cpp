@@ -127,17 +127,13 @@ BENCHMARK(BM_ExactTreeExpectation)->Arg(8)->Arg(12)->Arg(16);
 //    (core/engine/batch_kernel.h) pinned to the single-word table
 //    (--simd off's shape) -- transposed colorings, mask-arithmetic lane
 //    control, bit-sliced probe tallies.
-//  * Simd: the same batch kernel on the best compiled ISA
-//    (core/engine/simd.h, W lane words per pass), deterministic-order
-//    strategies -- the Batch/Simd pair isolates the widening win.
-//  * RandBatch: the batch kernel (best ISA) on the randomized-order
+//  * RandBatch: the batch kernel (default width) on the randomized-order
 //    strategies, which pre-draw per-lane permutations / plans and run on
 //    permuted colorings -- paired with Ref on the same strategy.
-// items_per_second is trials/sec.  CI pairs Ref/Batch, Batch/Simd and
-// Ref/RandBatch by suffix (bench/probe_throughput_schema.py), records the
-// batch_vs_ref, simd_vs_batch and randomized_batch_vs_ref speedup series
-// under stable metric names in BENCH_micro_probe.json, and gates every
-// speedup > 1.
+// items_per_second is trials/sec.  CI pairs Ref/Batch and Ref/RandBatch by
+// suffix (bench/probe_throughput_schema.py), records the batch_vs_ref and
+// randomized_batch_vs_ref speedup series under stable metric names in
+// BENCH_micro_probe.json, and gates every speedup > 1.
 
 void run_ref_trials(benchmark::State& state, const QuorumSystem& system,
                     const ProbeStrategy& strategy, double p) {
@@ -205,13 +201,6 @@ void BM_ProbeTrials_Batch_Maj63(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Batch_Maj63);
 
-void BM_ProbeTrials_Simd_Maj63(benchmark::State& state) {
-  const MajoritySystem maj(63);
-  const ProbeMaj strategy(maj);
-  run_batch_trials(state, maj, strategy, 0.5, SimdIsa::kAuto);
-}
-BENCHMARK(BM_ProbeTrials_Simd_Maj63);
-
 void BM_ProbeTrials_Ref_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
@@ -242,13 +231,6 @@ void BM_ProbeTrials_Batch_DetTree63(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Batch_DetTree63);
 
-void BM_ProbeTrials_Simd_DetTree63(benchmark::State& state) {
-  const TreeSystem tree(5);
-  const ProbeTree strategy(tree);
-  run_batch_trials(state, tree, strategy, 0.5, SimdIsa::kAuto);
-}
-BENCHMARK(BM_ProbeTrials_Simd_DetTree63);
-
 void BM_ProbeTrials_Ref_Hqs27(benchmark::State& state) {
   const HQSystem hqs(3);
   const ProbeHQS strategy(hqs);
@@ -262,13 +244,6 @@ void BM_ProbeTrials_Batch_Hqs27(benchmark::State& state) {
   run_batch_trials(state, hqs, strategy, 0.5, SimdIsa::kOff);
 }
 BENCHMARK(BM_ProbeTrials_Batch_Hqs27);
-
-void BM_ProbeTrials_Simd_Hqs27(benchmark::State& state) {
-  const HQSystem hqs(3);
-  const ProbeHQS strategy(hqs);
-  run_batch_trials(state, hqs, strategy, 0.5, SimdIsa::kAuto);
-}
-BENCHMARK(BM_ProbeTrials_Simd_Hqs27);
 
 void BM_ProbeTrials_Ref_Cw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);
@@ -291,15 +266,8 @@ void BM_ProbeTrials_Batch_DetCw55(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Batch_DetCw55);
 
-void BM_ProbeTrials_Simd_DetCw55(benchmark::State& state) {
-  const CrumblingWall wall = CrumblingWall::triang(10);
-  const ProbeCW strategy(wall);
-  run_batch_trials(state, wall, strategy, 0.5, SimdIsa::kAuto);
-}
-BENCHMARK(BM_ProbeTrials_Simd_DetCw55);
-
 // Randomized-order strategies through the batch kernel (pre-drawn
-// per-lane permutations / plans, best ISA), paired with Ref on the same
+// per-lane permutations / plans, default width), paired with Ref on the same
 // strategy: the randomized_batch_vs_ref series.
 void BM_ProbeTrials_RandBatch_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
@@ -336,7 +304,9 @@ void BM_EstimatePpcGenericLambda(benchmark::State& state) {
   for (auto _ : state) {
     const auto stats = engine.run([&](Rng& rng) {
       const Coloring c = sample_iid_coloring(63, 0.5, rng);
-      return run_probe_trial(maj, strategy, c, false, rng);
+      ProbeSession session(c);
+      (void)strategy.run(session, rng);
+      return static_cast<double>(session.probe_count());
     });
     benchmark::DoNotOptimize(stats.mean());
   }

@@ -10,21 +10,19 @@ machine-comparable PR-over-PR instead of raw benchmark dumps.
 
 Benchmarks pair up by suffix:
   BM_ProbeTrials_Ref_X     / BM_ProbeTrials_Batch_X -> speedup/batch_vs_ref/X
-  BM_ProbeTrials_Batch_X   / BM_ProbeTrials_Simd_X  -> speedup/simd_vs_batch/X
   BM_ProbeTrials_Ref_X     / BM_ProbeTrials_RandBatch_X
                            -> speedup/randomized_batch_vs_ref/X
   BM_EstimatePpcGenericLambda / BM_EstimatePpcBitSliced
                            -> the engine end-to-end series
-The Batch tier pins --simd off (one lane word) so simd_vs_batch isolates the
-wide-ISA gain; Simd and RandBatch run whatever ISA the dispatcher picks.
+The Batch tier pins --simd off (one lane word); RandBatch runs the default
+width.
 Every speedup is gated > 1 (a path that stops beating its baseline fails
 the job); the exit code doubles as the CI gate.
 """
 import json
 import sys
 
-REF, BATCH = "_Ref_", "_Batch_"
-SIMD, RANDBATCH = "_Simd_", "_RandBatch_"
+REF, BATCH, RANDBATCH = "_Ref_", "_Batch_", "_RandBatch_"
 
 
 def main() -> int:
@@ -58,24 +56,17 @@ def main() -> int:
             record(case_of(name, REF), "ref", rate[name])
         elif BATCH in name:
             record(case_of(name, BATCH), "batch", rate[name])
-        elif SIMD in name:
-            record(case_of(name, SIMD), "simd", rate[name])
         elif RANDBATCH in name:
             record(case_of(name, RANDBATCH), "randomized_batch", rate[name])
 
-    # Pairing is strict: a Batch benchmark without its Ref baseline, a Simd
-    # one without its off-ISA Batch twin, or a RandBatch one without its Ref
-    # baseline, is a broken suite and must fail the job (KeyError), not
+    # Pairing is strict: a Batch or RandBatch benchmark without its Ref
+    # baseline is a broken suite and must fail the job (KeyError), not
     # silently drop the gate.
     for name in sorted(rate):
         if BATCH in name:
             case = case_of(name, BATCH)
             gate("batch_vs_ref", case, rate[name],
                  rate[name.replace(BATCH, REF)])
-        elif SIMD in name:
-            case = case_of(name, SIMD)
-            gate("simd_vs_batch", case, rate[name],
-                 rate[name.replace(SIMD, BATCH)])
         elif RANDBATCH in name:
             case = case_of(name, RANDBATCH)
             gate("randomized_batch_vs_ref", case, rate[name],

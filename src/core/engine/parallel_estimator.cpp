@@ -69,6 +69,17 @@ void check_witness(const QuorumSystem& system, const ProbeStrategy& strategy,
                            error);
 }
 
+/// One probe run of `strategy` against `coloring` on a fresh session (the
+/// empty-universe trial).  Returns the probe count.
+double run_probe_trial(const QuorumSystem& system,
+                       const ProbeStrategy& strategy, const Coloring& coloring,
+                       bool validate, Rng& rng) {
+  ProbeSession session(coloring);
+  const Witness witness = strategy.run(session, rng);
+  if (validate) check_witness(system, strategy, coloring, witness, session);
+  return static_cast<double>(session.probe_count());
+}
+
 }  // namespace
 
 ParallelEstimator::ParallelEstimator(EngineOptions options)
@@ -183,14 +194,6 @@ RunningStats ParallelEstimator::run(const Trial& trial) const {
   });
 }
 
-RunningStats ParallelEstimator::run_sequential(const Trial& trial,
-                                               Rng& rng) const {
-  QPS_REQUIRE(static_cast<bool>(trial), "run_sequential() needs a trial");
-  RunningStats stats;
-  for (std::size_t t = 0; t < options_.trials; ++t) stats.add(trial(rng));
-  return stats;
-}
-
 RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
                                              const ProbeStrategy& strategy,
                                              double p) const {
@@ -274,15 +277,6 @@ RunningStats ParallelEstimator::run_strategy(
       }
     };
   });
-}
-
-double run_probe_trial(const QuorumSystem& system,
-                       const ProbeStrategy& strategy, const Coloring& coloring,
-                       bool validate, Rng& rng) {
-  ProbeSession session(coloring);
-  const Witness witness = strategy.run(session, rng);
-  if (validate) check_witness(system, strategy, coloring, witness, session);
-  return static_cast<double>(session.probe_count());
 }
 
 }  // namespace qps

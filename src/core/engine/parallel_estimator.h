@@ -46,11 +46,10 @@ struct EngineOptions {
   bool validate_witnesses = false;
   /// Root seed for the per-batch RNG streams.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Instruction set for the bit-sliced kernels (core/engine/simd.h):
-  /// kAuto picks the best the build and CPU support, resolved once per
-  /// estimate_ppc / expected_probes_on call.  Per-trial results are
-  /// bit-identical across ISAs (only the number of lane words per pass
-  /// changes).
+  /// Lane width of the bit-sliced kernels (core/engine/simd.h), resolved
+  /// once per estimate_ppc / expected_probes_on call.  Per-trial results
+  /// are bit-identical at every width (only the number of lane words per
+  /// pass changes).
   SimdIsa simd = SimdIsa::kAuto;
 };
 
@@ -67,11 +66,6 @@ class ParallelEstimator {
   /// exception surfaces is deterministic (first failing batch in index
   /// order).
   RunningStats run(const Trial& trial) const;
-
-  /// Sequential compatibility path: runs `trials` calls of `trial` in one
-  /// stream on the calling thread using the caller's generator, exactly as
-  /// the pre-engine estimator did.  No batching, no early stop.
-  RunningStats run_sequential(const Trial& trial, Rng& rng) const;
 
   /// PPC_p estimation (Section 3 model): i.i.d. element failures with
   /// probability p, fresh coloring per trial.  Each batch samples its
@@ -128,12 +122,5 @@ class ParallelEstimator {
 
   EngineOptions options_;
 };
-
-/// One probe run of `strategy` against `coloring`: the engine's innermost
-/// trial, shared with the legacy estimator API.  Returns the probe count;
-/// throws std::logic_error when validation is on and the witness is bad.
-double run_probe_trial(const QuorumSystem& system,
-                       const ProbeStrategy& strategy, const Coloring& coloring,
-                       bool validate, Rng& rng);
 
 }  // namespace qps

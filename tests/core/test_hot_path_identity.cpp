@@ -165,7 +165,9 @@ TEST(HotPathIdentity, ExpectedProbesOnMatchesGenericEnginePath) {
   const auto options = engine_options(3);
   const ParallelEstimator engine(options);
   const RunningStats generic = engine.run([&](Rng& rng) {
-    return run_probe_trial(maj, strategy, coloring, false, rng);
+    ProbeSession session(coloring);
+    (void)strategy.run(session, rng);
+    return static_cast<double>(session.probe_count());
   });
   const RunningStats hot = engine.expected_probes_on(maj, strategy, coloring);
   EXPECT_EQ(generic.count(), hot.count());

@@ -43,13 +43,14 @@ TEST(ProbeHqsTest, AllGreenProbesQuorumSize) {
 
 TEST(ProbeHqsTest, AverageIsExactly2Point5PerLevelAtHalf) {
   // Thm 3.8: at p = 1/2 the expected cost is exactly (5/2)^h.
-  Rng rng(17);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.seed = 17;
+  options.threads = 1;
   for (std::size_t h : {2u, 4u}) {
     const HQSystem hqs(h);
     const ProbeHQS strategy(hqs);
-    const auto stats = estimate_ppc(hqs, strategy, 0.5, options, rng);
+    const auto stats = estimate_ppc(hqs, strategy, 0.5, options);
     const double exact = std::pow(2.5, static_cast<double>(h));
     EXPECT_DOUBLE_EQ(probe_hqs_expected(h, 0.5), exact);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth()) << "h=" << h;
@@ -57,13 +58,14 @@ TEST(ProbeHqsTest, AverageIsExactly2Point5PerLevelAtHalf) {
 }
 
 TEST(ProbeHqsTest, AverageMatchesRecursionAtOtherP) {
-  Rng rng(19);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.seed = 19;
+  options.threads = 1;
   for (double p : {0.2, 0.35}) {
     const HQSystem hqs(4);
     const ProbeHQS strategy(hqs);
-    const auto stats = estimate_ppc(hqs, strategy, p, options, rng);
+    const auto stats = estimate_ppc(hqs, strategy, p, options);
     EXPECT_NEAR(stats.mean(), probe_hqs_expected(4, p),
                 4 * stats.ci95_halfwidth())
         << "p=" << p;
@@ -89,12 +91,13 @@ TEST(ProbeHqsTest, ExponentAtHalfIs0834) {
 TEST(RProbeHqsTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const HQSystem hqs(2);
   const RProbeHQS strategy(hqs);
-  Rng rng(23);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.seed = 23;
+  options.threads = 1;
   for (std::uint64_t mask : {0ULL, 0x1FFULL, 0x155ULL, 0x0F3ULL}) {
     const Coloring c(9, ElementSet::from_mask(9, mask));
-    const auto stats = expected_probes_on(hqs, strategy, c, options, rng);
+    const auto stats = expected_probes_on(hqs, strategy, c, options);
     const double exact = r_probe_hqs_expectation(hqs, c);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
         << "mask=" << mask;
@@ -130,12 +133,13 @@ TEST(RProbeHqsTest, FamilyPIsTheWorstInput) {
 TEST(IrProbeHqsTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const HQSystem hqs(2);
   const IRProbeHQS strategy(hqs);
-  Rng rng(29);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 100000;
+  options.seed = 29;
+  options.threads = 1;
   for (std::uint64_t mask : {0x1FFULL, 0x155ULL, 0x0F3ULL}) {
     const Coloring c(9, ElementSet::from_mask(9, mask));
-    const auto stats = expected_probes_on(hqs, strategy, c, options, rng);
+    const auto stats = expected_probes_on(hqs, strategy, c, options);
     const double exact = ir_probe_hqs_expectation(hqs, c);
     // The tolerance floor covers zero-variance inputs (deterministic cost).
     EXPECT_NEAR(stats.mean(), exact,

@@ -90,8 +90,10 @@ TEST(CrossEngine, PpcSymmetryCharacterizesSelfDuality) {
 
 TEST(CrossEngine, EveryStrategyDominatesTheOptimum) {
   Rng rng(555);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 4000;
+  options.seed = 555;
+  options.threads = 1;
   options.validate_witnesses = true;
   for (int trial = 0; trial < 6; ++trial) {
     const VoteSystem system = random_vote_system(rng, 6);
@@ -99,9 +101,9 @@ TEST(CrossEngine, EveryStrategyDominatesTheOptimum) {
     const GreedyCandidateProbe greedy(system);
     const RandomOrderProbe random_order(system);
     const auto greedy_mean =
-        estimate_ppc(system, greedy, 0.5, options, rng).mean();
+        estimate_ppc(system, greedy, 0.5, options).mean();
     const auto random_mean =
-        estimate_ppc(system, random_order, 0.5, options, rng).mean();
+        estimate_ppc(system, random_order, 0.5, options).mean();
     EXPECT_GE(greedy_mean, optimum - 0.15) << system.name();
     EXPECT_GE(random_mean, optimum - 0.15) << system.name();
   }
