@@ -187,22 +187,17 @@ void RProbeCW::run_batch(BatchTrialBlock& block, Rng& rng) const {
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
   // Probing random row elements in stored order is probing stored elements
-  // of the within-row permuted coloring.  One concatenated permutation per
-  // lane, rows drawn bottom-up -- the exact draws run() makes per trial.
-  auto& perm = block.order_buffer();
-  perm.resize(n);
+  // of the within-row permuted coloring.  Each lane's row windows are
+  // shuffled in place, bottom-up -- the exact draws run() makes per trial.
   const std::uint64_t* src = block.trial_masks();
   std::uint64_t* dst = block.scratch_masks();
   const std::size_t stride = block.mask_words();
   for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    for (std::size_t row = wall.row_count(); row-- > 0;) {
-      const std::size_t width = wall.row_width(row);
-      const Element base = wall.row_begin(row);
-      for (std::size_t i = 0; i < width; ++i)
-        perm[base + i] = base + static_cast<Element>(i);
-      rng.shuffle_span(perm.data() + base, width);
-    }
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+    std::uint64_t* row_mask = dst + t * stride;
+    std::copy_n(src + t * stride, stride, row_mask);
+    for (std::size_t row = wall.row_count(); row-- > 0;)
+      shuffle_mask_bits(rng, row_mask, wall.row_begin(row),
+                        wall.row_width(row));
   }
   block.use_scratch();
   block.kernels().rcw_scan(block.view(), row_offsets_.data(),

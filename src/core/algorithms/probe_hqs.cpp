@@ -13,17 +13,27 @@ namespace {
 
 // A gate's supporting leaves: two agreeing child supports per gate.
 // Supports of sibling subtrees are disjoint, so a union is an OR of word
-// masks (MaskSupport, universes of at most 64 leaves) or a concatenation
-// (VectorSupport, any universe).  Every evaluation below is written once
-// against this pair and run() picks the mask form when the universe fits
-// one word, so it allocates nothing there.
+// masks (MaskSupport<W>, universes of at most 64*W leaves) or a
+// concatenation (VectorSupport, any universe).  Every evaluation below is
+// written once against this pair and run() picks the narrowest mask form
+// that fits the universe (W = 1, 2, 4: up to 256 leaves), so the recursion
+// itself allocates nothing there.
+template <std::size_t kWords>
 struct MaskSupport {
-  std::uint64_t bits = 0;
+  std::array<std::uint64_t, kWords> bits{};
 
-  static MaskSupport leaf(Element e) { return {1ULL << e}; }
-  void add(const MaskSupport& other) { bits |= other.bits; }
+  static MaskSupport leaf(Element e) {
+    MaskSupport support;
+    support.bits[e / 64] = 1ULL << (e % 64);
+    return support;
+  }
+  void add(const MaskSupport& other) {
+    for (std::size_t k = 0; k < kWords; ++k) bits[k] |= other.bits[k];
+  }
   ElementSet to_set(std::size_t n) const {
-    return ElementSet::from_mask(n, bits);
+    ElementSet set(n);
+    set.assign_words(bits.data());
+    return set;
   }
 };
 
@@ -81,7 +91,9 @@ Witness evaluate_root(std::size_t n, Evaluate&& evaluate) {
     return Witness{eval.value ? Color::kGreen : Color::kRed,
                    eval.support.to_set(n)};
   };
-  if (n <= 64) return materialize(evaluate(MaskSupport{}));
+  if (n <= 64) return materialize(evaluate(MaskSupport<1>{}));
+  if (n <= 128) return materialize(evaluate(MaskSupport<2>{}));
+  if (n <= 256) return materialize(evaluate(MaskSupport<4>{}));
   return materialize(evaluate(VectorSupport{}));
 }
 
@@ -119,14 +131,12 @@ std::size_t hqs_gate(std::size_t height, std::size_t level,
 // stream-identical to run().  Unvisited gates' orders are simply never
 // read.  Each gate's order is encoded as first*3 + second (relative child
 // indices; third = 3 - first - second).
-std::vector<std::uint8_t> draw_gate_orders(const HQSystem& hqs, Rng& rng) {
-  std::vector<std::uint8_t> orders((hqs.universe_size() - 1) / 2);
-  for (auto& code : orders) {
+void draw_gate_orders(std::uint8_t* orders, std::size_t gates, Rng& rng) {
+  for (std::size_t g = 0; g < gates; ++g) {
     std::array<std::uint8_t, 3> ord = {0, 1, 2};
     rng.shuffle_array(ord);
-    code = static_cast<std::uint8_t>(ord[0] * 3 + ord[1]);
+    orders[g] = static_cast<std::uint8_t>(ord[0] * 3 + ord[1]);
   }
-  return orders;
 }
 
 template <typename Support>
@@ -246,10 +256,18 @@ void ProbeHQS::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
 
 Witness RProbeHQS::run(ProbeSession& session, Rng& rng) const {
   const std::size_t h = hqs_->height();
-  const std::vector<std::uint8_t> orders = draw_gate_orders(*hqs_, rng);
+  const std::size_t gates = (hqs_->universe_size() - 1) / 2;
+  // The orders of up to 121 gates (height 5, n = 243) live on the stack.
+  std::array<std::uint8_t, 121> stack_orders;
+  std::vector<std::uint8_t> heap_orders;
+  std::uint8_t* orders = stack_orders.data();
+  if (gates > stack_orders.size()) {
+    heap_orders.resize(gates);
+    orders = heap_orders.data();
+  }
+  draw_gate_orders(orders, gates, rng);
   return evaluate_root(hqs_->universe_size(), [&](auto support) {
-    return r_probe_hqs_rec<decltype(support)>(h, h, 0, session,
-                                              orders.data());
+    return r_probe_hqs_rec<decltype(support)>(h, h, 0, session, orders);
   });
 }
 
@@ -268,16 +286,20 @@ void RProbeHQS::run_batch(BatchTrialBlock& block, Rng& rng) const {
   const std::size_t gates = (n - 1) / 2;
   const std::size_t w = block.width();
   std::uint64_t* orders = block.plan_masks(gates * 6 * w);
+  // Draw from a local copy: its state stays in registers across the mask
+  // stores, which could alias a generator reached through a reference.
+  Rng draws = rng;
   for (std::size_t t = 0; t < block.trial_count(); ++t) {
     const std::size_t kw = t / 64;
     const std::uint64_t bit = 1ULL << (t % 64);
     for (std::size_t g = 0; g < gates; ++g) {
       std::array<std::uint8_t, 3> ord = {0, 1, 2};
-      rng.shuffle_array(ord);
+      draws.shuffle_array(ord);
       orders[(g * 6 + ord[0]) * w + kw] |= bit;
       orders[(g * 6 + 3 + ord[1]) * w + kw] |= bit;
     }
   }
+  rng = draws;
   block.kernels().rhqs_scan(block.view(), hqs_->height(), orders);
 }
 

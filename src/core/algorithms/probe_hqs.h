@@ -61,7 +61,8 @@ class IRProbeHQS final : public ProbeStrategy {
   std::string name() const override { return "IR_Probe_HQS"; }
   /// No batch kernel: which grandchild gets peeked at depends on colors
   /// observed mid-run, so run() is the engine's path.  Allocation-free for
-  /// n <= 64 (word-mask supports).
+  /// n <= 64; up to n = 256 (word-mask supports of 2 or 4 words) it
+  /// allocates only the returned witness's ElementSet.
   Witness run(ProbeSession& session, Rng& rng) const override;
 
  private:

@@ -1,5 +1,7 @@
 #include "core/algorithms/probe_maj.h"
 
+#include <algorithm>
+
 #include "core/engine/batch_kernel.h"
 #include "util/require.h"
 
@@ -71,15 +73,14 @@ void RProbeMaj::run_batch(BatchTrialBlock& block, Rng& rng) const {
               "batch block over the wrong universe");
   // Probing random elements in canonical order is probing canonical
   // elements in the permuted coloring: bit j of the permuted mask = bit
-  // perm[j] of the original.  One permutation per lane, drawn in trial
-  // order -- the exact draws run() makes.
-  auto& perm = block.order_buffer();
+  // perm[j] of the original.  Each lane's row is shuffled in place, in
+  // trial order -- the exact draws run()'s permutation makes.
   const std::uint64_t* src = block.trial_masks();
   std::uint64_t* dst = block.scratch_masks();
   const std::size_t stride = block.mask_words();
   for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    rng.permutation_into(perm, static_cast<std::uint32_t>(n));
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+    std::copy_n(src + t * stride, stride, dst + t * stride);
+    shuffle_mask_bits(rng, dst + t * stride, 0, n);
   }
   block.use_scratch();
   const std::size_t threshold = system_->threshold();

@@ -149,12 +149,16 @@ void RProbeTree::run_batch(BatchTrialBlock& block, Rng& rng) const {
   const std::size_t internal = n / 2;
   const std::size_t w = block.width();
   std::uint64_t* plans = block.plan_masks(internal * 3 * w);
+  // Draw from a local copy: its state stays in registers across the mask
+  // stores, which could alias a generator reached through a reference.
+  Rng draws = rng;
   for (std::size_t t = 0; t < block.trial_count(); ++t) {
     const std::size_t kw = t / 64;
     const std::uint64_t bit = 1ULL << (t % 64);
     for (std::size_t v = 0; v < internal; ++v)
-      plans[(v * 3 + rng.below(3)) * w + kw] |= bit;
+      plans[(v * 3 + draws.below(3)) * w + kw] |= bit;
   }
+  rng = draws;
   block.kernels().rtree_scan(block.view(), plans);
 }
 

@@ -1,5 +1,7 @@
 #include "core/algorithms/random_order.h"
 
+#include <algorithm>
+
 #include "core/engine/batch_kernel.h"
 #include "util/require.h"
 
@@ -52,13 +54,12 @@ void RandomOrderProbe::run_batch(BatchTrialBlock& block, Rng& rng) const {
   // R_Probe_Maj), then count: with contains_quorum(S) <=> |S| >= cert, a
   // lane certifies green at `cert` probed greens and red once not_red =
   // n - probed_reds drops below cert, i.e. at n - cert + 1 probed reds.
-  auto& perm = block.order_buffer();
   const std::uint64_t* src = block.trial_masks();
   std::uint64_t* dst = block.scratch_masks();
   const std::size_t stride = block.mask_words();
   for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    rng.permutation_into(perm, static_cast<std::uint32_t>(n));
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+    std::copy_n(src + t * stride, stride, dst + t * stride);
+    shuffle_mask_bits(rng, dst + t * stride, 0, n);
   }
   block.use_scratch();
   block.kernels().count_scan(block.view(), cert, n - cert + 1);

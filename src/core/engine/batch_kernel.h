@@ -11,10 +11,11 @@
 //    one lane-word row PER ELEMENT, so a probe step reads all lanes'
 //    answers in W word loads;
 //  * a strategy's run_batch() override (core/strategy.h) pre-draws its
-//    per-trial randomness into the block's side buffers (permuted masks,
-//    plan masks) and then calls one of the block's scan kernels, which walk
-//    the probe structure once carrying an active-lane matrix -- divergence
-//    between trials becomes mask arithmetic, never a per-trial branch;
+//    per-trial randomness into the block's side buffers (shuffled mask
+//    rows, plan masks) and then calls one of the block's scan kernels,
+//    which walk the probe structure once carrying an active-lane matrix --
+//    divergence between trials becomes mask arithmetic, never a per-trial
+//    branch;
 //  * probe accounting is bit-sliced too: per-lane counters live as
 //    bit_width(n) bit planes of W words each, charged by ripple-carry adds
 //    inside the kernels, and per-lane stop detection is a plane-fold
@@ -37,6 +38,7 @@
 #include "core/coloring.h"
 #include "core/engine/simd.h"
 #include "util/element_set.h"
+#include "util/rng.h"
 
 namespace qps {
 
@@ -103,6 +105,7 @@ class BatchTrialBlock {
     element_greens_.assign(n_ * w, 0);
     probe_planes_.assign(planes_ * w, 0);
     tally_planes_.assign(planes_ * w, 0);
+    values_.assign(n_ * w, 0);
     active_.assign(w, 0);
     scratch_masks_.assign(lane_capacity() * mask_words_, 0);
     trial_count_ = 0;
@@ -144,8 +147,9 @@ class BatchTrialBlock {
       transposed_ = true;
     }
     return BlockView{element_greens_.data(), probe_planes_.data(),
-                     tally_planes_.data(),   active_.data(),
-                     n_,                     planes_};
+                     tally_planes_.data(),   values_.data(),
+                     active_.data(),         n_,
+                     planes_};
   }
 
   std::size_t universe_size() const { return n_; }
@@ -175,10 +179,6 @@ class BatchTrialBlock {
     source_masks_ = scratch_masks_.data();
     transposed_ = false;
   }
-
-  /// Reusable per-trial index buffer (permutations, row orders); strategies
-  /// resize it to their need, the capacity sticks across blocks.
-  std::vector<std::uint32_t>& order_buffer() { return order_buffer_; }
 
   /// Zeroed buffer of `words` lane words for pre-drawn per-lane structure
   /// masks (R_Probe_Tree plans, R_Probe_HQS orders); grows on first use,
@@ -212,29 +212,46 @@ class BatchTrialBlock {
   std::vector<std::uint64_t> element_greens_;  // n * W lane words
   std::vector<std::uint64_t> probe_planes_;    // planes * W
   std::vector<std::uint64_t> tally_planes_;    // planes * W kernel scratch
+  std::vector<std::uint64_t> values_;          // n * W kernel scratch
   std::vector<std::uint64_t> active_;          // W
   std::vector<std::uint64_t> scratch_masks_;   // lane_capacity * mask_words
   std::vector<std::uint64_t> plan_masks_;
-  std::vector<std::uint32_t> order_buffer_;
 };
 
-/// Applies an element permutation to one multi-word green mask row: bit j
-/// of `dst` = bit perm[j] of `src` (so scanning dst in canonical order
-/// 0..n-1 visits src's colors in the order perm[0], perm[1], ...).  `dst`
-/// must not alias `src`; rows are ceil(n/64) words.
-inline void permute_mask_words(const std::uint64_t* src,
-                               const std::uint32_t* perm, std::size_t n,
-                               std::uint64_t* dst) {
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) dst[w] = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t e = perm[j];
-    dst[j >> 6] |= ((src[e >> 6] >> (e & 63)) & 1ULL) << (j & 63);
+/// Fisher-Yates over bits [base, base + size) of a green-mask row, in
+/// place: swaps bits base+i-1 and base+below(i) for i = size..2, the exact
+/// draws rng.shuffle_span makes on the matching index window.  Afterwards
+/// bit base+j holds the bit that window position perm[j] held, where perm
+/// is the shuffled window shuffle_span would return -- so scanning the row
+/// in canonical order visits the original colors in the random order.  A
+/// window inside one word is shuffled in a register.
+inline void shuffle_mask_bits(Rng& rng, std::uint64_t* row, std::size_t base,
+                              std::size_t size) {
+  if (size < 2) return;
+  const std::size_t first = base >> 6;
+  if (first == (base + size - 1) >> 6) {
+    std::uint64_t word = row[first];
+    const std::size_t offset = base & 63;
+    for (std::size_t i = size; i > 1; --i) {
+      const std::size_t a = offset + i - 1;
+      const std::size_t b = offset + static_cast<std::size_t>(rng.below(i));
+      const std::uint64_t diff = ((word >> a) ^ (word >> b)) & 1ULL;
+      word ^= (diff << a) | (diff << b);
+    }
+    row[first] = word;
+    return;
+  }
+  for (std::size_t i = size; i > 1; --i) {
+    const std::size_t a = base + i - 1;
+    const std::size_t b = base + static_cast<std::size_t>(rng.below(i));
+    const std::uint64_t diff =
+        ((row[a >> 6] >> (a & 63)) ^ (row[b >> 6] >> (b & 63))) & 1ULL;
+    row[a >> 6] ^= diff << (a & 63);
+    row[b >> 6] ^= diff << (b & 63);
   }
 }
 
 class ProbeStrategy;
-class Rng;
 class RunningStats;
 
 /// Drives `trial_count` trials through `strategy`'s bit-sliced kernel in

@@ -43,6 +43,8 @@ enum class SimdIsa : std::uint8_t {
 ///   greens[e*W + k]        element e's colors for lanes [64k, 64k+64)
 ///   probe_planes[b*W + k]  bit b of the per-lane probe counters
 ///   tally_planes           kernel-owned scratch counters, same layout
+///   values[i*W + k]        kernel-owned scratch, `universe` rows: the
+///                          value-first kernels' per-node witness colors
 ///   active[k]              bit t set iff lane 64k+t carries a trial
 /// `planes` is the number of bit planes in each counter (enough for counts
 /// up to `universe`).  POD on purpose -- see the note above.
@@ -50,6 +52,7 @@ struct BlockView {
   std::uint64_t* greens;
   std::uint64_t* probe_planes;
   std::uint64_t* tally_planes;
+  std::uint64_t* values;
   const std::uint64_t* active;
   std::size_t universe;
   std::size_t planes;
@@ -75,6 +78,9 @@ struct SimdKernels {
 
   /// R_Probe_Tree: per-lane pre-drawn plans as bit masks,
   /// plan_masks[(v*3 + plan)*W + k] for internal nodes v in [0, n/2).
+  /// Value first: a bottom-up pass writes every node's witness color
+  /// (maj of root and children) into `values`, then a top-down walk enters
+  /// each child once with the union of the lanes whose plan visits it.
   void (*rtree_scan)(const BlockView&, const std::uint64_t* plan_masks);
 
   /// Probe_HQS's masked 2-of-3 gate evaluation; n = 3^height.
@@ -83,7 +89,9 @@ struct SimdKernels {
   /// R_Probe_HQS: per-lane pre-drawn child orders as bit masks, 6 words per
   /// gate (first-child masks F0..F2 then second-child masks S0..S2) at
   /// order_masks[(g*6 + slot)*W + k]; gates g enumerate level height..1,
-  /// index ascending.
+  /// index ascending.  Value first, like rtree_scan: gate values (2-of-3 of
+  /// the children) fill `values` bottom-up, then each child is entered
+  /// once by its first/second pickers plus the lanes whose picks disagree.
   void (*rhqs_scan)(const BlockView&, std::size_t height,
                     const std::uint64_t* order_masks);
 

@@ -13,6 +13,8 @@
 // Contract for every kernel: charge exactly the probes the scalar strategy
 // performs on each lane's coloring, by ripple-carry adds into
 // view.probe_planes.  Lanes outside view.active are never charged.
+// view.tally_planes and view.values are the kernels' scratch; nothing
+// survives in them from one call to the next.
 
 using U64 = std::uint64_t;
 
@@ -128,61 +130,55 @@ void tree_scan(const BlockView& v) {
 
 // --------------------------------------------------------------- rtree_scan
 
-/// R_Probe_Tree with per-lane pre-drawn plans.  For each internal node the
-/// incoming lanes split by plan: plan 0 probes the root and the right
-/// subtree (left only on a root/witness mismatch), plan 1 mirrors it, plan
-/// 2 evaluates both subtrees and probes the root only when they disagree.
-/// Each child is entered by at most two recursive calls with disjoint
-/// masks, so per-lane probe sets match the scalar recursion exactly.
+/// R_Probe_Tree with per-lane pre-drawn plans, value first.  A subtree's
+/// witness color does not depend on the probe order: it is the Tree
+/// system's characteristic function, maj(root, left, right).  So one
+/// bottom-up pass first fills v.values[node*kW + k] with every node's
+/// witness color for all lanes, and the recursion then only routes lanes.
+/// At an internal node the incoming lanes split by plan: plan 0 probes the
+/// root and the right subtree (left only on a root/witness mismatch), plan
+/// 1 mirrors it, plan 2 evaluates both subtrees and probes the root only
+/// when they disagree.  With the colors known, each child is entered once
+/// with the union of the lanes that visit it, so per-lane probe sets match
+/// the scalar recursion exactly.
 void rtree_rec(const BlockView& v, std::size_t node, const U64* A,
-               const U64* plans, U64* out) {
-  if (!any_set(A)) {
-    zero_w(out);
+               const U64* plans) {
+  if (!any_set(A)) return;
+  if (2 * node + 1 >= v.universe) {  // leaf
+    tally_add(v.probe_planes, v.planes, A);
     return;
   }
   const U64* col = v.greens + node * kW;
-  if (2 * node + 1 >= v.universe) {  // leaf
-    tally_add(v.probe_planes, v.planes, A);
-    copy_w(out, col);
-    return;
-  }
+  const U64* left = v.values + (2 * node + 1) * kW;
+  const U64* right = v.values + (2 * node + 2) * kW;
   const U64* P = plans + node * 3 * kW;
-  U64 A0[kW], A1[kW], A2[kW], m[kW];
+  U64 root[kW], to_left[kW], to_right[kW];
   for (std::size_t k = 0; k < kW; ++k) {
-    A0[k] = A[k] & P[k];
-    A1[k] = A[k] & P[kW + k];
-    A2[k] = A[k] & P[2 * kW + k];
+    const U64 a0 = A[k] & P[k];
+    const U64 a1 = A[k] & P[kW + k];
+    const U64 a2 = A[k] & P[2 * kW + k];
+    root[k] = a0 | a1 | (a2 & (left[k] ^ right[k]));
+    to_left[k] = a1 | a2 | (a0 & (right[k] ^ col[k]));
+    to_right[k] = a0 | a2 | (a1 & (left[k] ^ col[k]));
   }
-  for (std::size_t k = 0; k < kW; ++k) m[k] = A0[k] | A1[k];
-  tally_add(v.probe_planes, v.planes, m);  // root probe, plans 0 and 1
-
-  U64 right1[kW], left1[kW];
-  for (std::size_t k = 0; k < kW; ++k) m[k] = A0[k] | A2[k];
-  rtree_rec(v, 2 * node + 2, m, plans, right1);
-  for (std::size_t k = 0; k < kW; ++k) m[k] = A1[k] | A2[k];
-  rtree_rec(v, 2 * node + 1, m, plans, left1);
-
-  U64 mm0[kW], mm1[kW], d2[kW], left2[kW], right2[kW];
-  for (std::size_t k = 0; k < kW; ++k) mm0[k] = A0[k] & (right1[k] ^ col[k]);
-  rtree_rec(v, 2 * node + 1, mm0, plans, left2);
-  for (std::size_t k = 0; k < kW; ++k) mm1[k] = A1[k] & (left1[k] ^ col[k]);
-  rtree_rec(v, 2 * node + 2, mm1, plans, right2);
-  for (std::size_t k = 0; k < kW; ++k) d2[k] = A2[k] & (left1[k] ^ right1[k]);
-  tally_add(v.probe_planes, v.planes, d2);  // plan-2 root probe on disagreement
-
-  // Witness colors: a plan-0/1 lane whose first subtree matched its root
-  // keeps the root color, a mismatching lane takes the second subtree's
-  // color (it either matches the root or joins the first witness); a
-  // plan-2 lane takes the agreed child color, or the root's on a tie.
-  for (std::size_t k = 0; k < kW; ++k)
-    out[k] = ((A0[k] & ~mm0[k]) & col[k]) | (mm0[k] & left2[k]) |
-             ((A1[k] & ~mm1[k]) & col[k]) | (mm1[k] & right2[k]) |
-             ((A2[k] & ~d2[k]) & left1[k]) | (d2[k] & col[k]);
+  tally_add(v.probe_planes, v.planes, root);
+  rtree_rec(v, 2 * node + 2, to_right, plans);
+  rtree_rec(v, 2 * node + 1, to_left, plans);
 }
 
 void rtree_scan(const BlockView& v, const U64* plan_masks) {
-  U64 out[kW];
-  rtree_rec(v, 0, v.active, plan_masks, out);
+  const std::size_t internal = v.universe / 2;
+  for (std::size_t i = internal * kW; i < v.universe * kW; ++i)
+    v.values[i] = v.greens[i];
+  for (std::size_t node = internal; node-- > 0;) {
+    const U64* col = v.greens + node * kW;
+    const U64* left = v.values + (2 * node + 1) * kW;
+    const U64* right = v.values + (2 * node + 2) * kW;
+    U64* out = v.values + node * kW;
+    for (std::size_t k = 0; k < kW; ++k)
+      out[k] = (col[k] & (left[k] | right[k])) | (left[k] & right[k]);
+  }
+  rtree_rec(v, 0, v.active, plan_masks);
 }
 
 // ----------------------------------------------------------------- hqs_scan
@@ -229,52 +225,62 @@ inline std::size_t rhqs_gate(std::size_t height, std::size_t level,
   return (pow3 - 1) / 2 + index;
 }
 
-/// R_Probe_HQS with per-lane pre-drawn child orders.  Phase 1: every lane
-/// evaluates the two children its order picked (each child subtree is
-/// entered once with the union of the lanes that picked it first or
-/// second).  Phase 2: lanes whose two picks disagree evaluate their third
-/// child.  Disjoint masks per child, so probe sets match the scalar walk.
+/// A node's value word: a leaf's color, or a gate's 2-of-3 value from the
+/// value pass (v.values, indexed by rhqs_gate).
+inline const U64* rhqs_value(const BlockView& v, std::size_t height,
+                             std::size_t level, std::size_t index) {
+  return level == 0 ? v.greens + index * kW
+                    : v.values + rhqs_gate(height, level, index) * kW;
+}
+
+/// R_Probe_HQS with per-lane pre-drawn child orders, value first: every
+/// gate's value is the majority of its children's, filled bottom-up into
+/// v.values before the walk.  A lane evaluates the two children its order
+/// picked and, when their values disagree, its third child; so child c is
+/// entered once, by the lanes that picked it first or second plus the
+/// disagreeing lanes (for whom it is the third pick).  Each lane enters
+/// each child at most once, so probe sets match the scalar walk.
 void rhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
-              std::size_t index, const U64* A, const U64* orders, U64* out) {
-  if (!any_set(A)) {
-    zero_w(out);
-    return;
-  }
+              std::size_t index, const U64* A, const U64* orders) {
+  if (!any_set(A)) return;
   if (level == 0) {
     tally_add(v.probe_planes, v.planes, A);
-    copy_w(out, v.greens + index * kW);
     return;
   }
   const U64* F = orders + rhqs_gate(height, level, index) * 6 * kW;
-  U64 r[3][kW], m[kW];
-  for (std::size_t c = 0; c < 3; ++c) {
-    for (std::size_t k = 0; k < kW; ++k)
-      m[k] = A[k] & (F[c * kW + k] | F[(3 + c) * kW + k]);
-    rhqs_rec(v, height, level - 1, index * 3 + c, m, orders, r[c]);
-  }
-  U64 first[kW], second[kW], dis[kW];
+  const U64* c0 = rhqs_value(v, height, level - 1, index * 3);
+  const U64* c1 = rhqs_value(v, height, level - 1, index * 3 + 1);
+  const U64* c2 = rhqs_value(v, height, level - 1, index * 3 + 2);
+  U64 dis[kW];
   for (std::size_t k = 0; k < kW; ++k) {
-    first[k] = (F[k] & r[0][k]) | (F[kW + k] & r[1][k]) |
-               (F[2 * kW + k] & r[2][k]);
-    second[k] = (F[3 * kW + k] & r[0][k]) | (F[4 * kW + k] & r[1][k]) |
-                (F[5 * kW + k] & r[2][k]);
-    dis[k] = A[k] & (first[k] ^ second[k]);
+    const U64 first = (F[k] & c0[k]) | (F[kW + k] & c1[k]) |
+                      (F[2 * kW + k] & c2[k]);
+    const U64 second = (F[3 * kW + k] & c0[k]) | (F[4 * kW + k] & c1[k]) |
+                       (F[5 * kW + k] & c2[k]);
+    dis[k] = first ^ second;
   }
-  U64 third[kW], rc[kW];
-  zero_w(third);
+  U64 m[kW];
   for (std::size_t c = 0; c < 3; ++c) {
     for (std::size_t k = 0; k < kW; ++k)
-      m[k] = dis[k] & ~F[c * kW + k] & ~F[(3 + c) * kW + k];
-    rhqs_rec(v, height, level - 1, index * 3 + c, m, orders, rc);
-    for (std::size_t k = 0; k < kW; ++k) third[k] |= m[k] & rc[k];
+      m[k] = A[k] & (F[c * kW + k] | F[(3 + c) * kW + k] | dis[k]);
+    rhqs_rec(v, height, level - 1, index * 3 + c, m, orders);
   }
-  for (std::size_t k = 0; k < kW; ++k)
-    out[k] = (A[k] & ~dis[k] & first[k]) | third[k];
 }
 
 void rhqs_scan(const BlockView& v, std::size_t height, const U64* order_masks) {
-  U64 out[kW];
-  rhqs_rec(v, height, height, 0, v.active, order_masks, out);
+  for (std::size_t level = 1; level <= height; ++level) {
+    std::size_t gates = 1;
+    for (std::size_t j = level; j < height; ++j) gates *= 3;
+    for (std::size_t index = 0; index < gates; ++index) {
+      const U64* c0 = rhqs_value(v, height, level - 1, index * 3);
+      const U64* c1 = rhqs_value(v, height, level - 1, index * 3 + 1);
+      const U64* c2 = rhqs_value(v, height, level - 1, index * 3 + 2);
+      U64* out = v.values + rhqs_gate(height, level, index) * kW;
+      for (std::size_t k = 0; k < kW; ++k)
+        out[k] = (c0[k] & (c1[k] | c2[k])) | (c1[k] & c2[k]);
+    }
+  }
+  rhqs_rec(v, height, height, 0, v.active, order_masks);
 }
 
 // ------------------------------------------------------------------ cw_scan

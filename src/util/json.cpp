@@ -70,8 +70,14 @@ class JsonParser {
   }
 
  private:
+  // Arrays and objects recurse; past this depth the input is rejected with
+  // a parse error instead of overflowing the stack (hostile input such as
+  // 100,000 '[' would otherwise crash the process).
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -100,8 +106,14 @@ class JsonParser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) fail(pos_, "nesting deeper than 256 levels");
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return make_string(parse_string());
       case 't':
         if (consume_literal("true")) return make_bool(true);

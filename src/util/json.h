@@ -40,8 +40,9 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  /// Parses exactly one JSON document; trailing non-whitespace or any
-  /// syntax error throws std::invalid_argument.
+  /// Parses exactly one JSON document; trailing non-whitespace, any syntax
+  /// error or arrays/objects nested deeper than 256 levels throw
+  /// std::invalid_argument.
   static JsonValue parse(std::string_view text);
 
   Kind kind() const { return kind_; }

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/require.h"
+
 namespace qps {
 
 /// splitmix64 step; used for seeding and as a cheap stateless mixer.
@@ -25,12 +27,38 @@ class Rng {
   /// Seeds the four 64-bit words of state from `seed` via splitmix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Raw 64 uniform random bits.
-  std::uint64_t next_u64();
+  /// Raw 64 uniform random bits.  Inline: the randomized strategies draw
+  /// several words per trial on the batch path.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound).  `bound` must be positive.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    QPS_REQUIRE(bound > 0, "below() needs a positive bound");
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      // Rejection in the biased band.
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -49,13 +77,6 @@ class Rng {
 
   /// Fisher-Yates shuffle of an index vector [0, n).
   std::vector<std::uint32_t> permutation(std::uint32_t n);
-
-  /// Allocation-free variant of permutation(): refills `out` with a shuffle
-  /// of [0, n), reusing its capacity.  Draws exactly the same generator
-  /// sequence as permutation(n), so the two are interchangeable in
-  /// reproducible runs; the trial hot path uses this with a workspace
-  /// buffer.
-  void permutation_into(std::vector<std::uint32_t>& out, std::uint32_t n);
 
   /// In-place Fisher-Yates shuffle of a raw span.  Same draw sequence as
   /// shuffle() on a vector of the same size.
@@ -98,6 +119,10 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

@@ -203,6 +203,48 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
   EXPECT_EQ(steady_allocations(cw10, r_probe_cw), 0u);
 }
 
+TEST(ZeroAllocationHotPath, HqsRunAllocatesOnlyTheWitnessUpTo256Leaves) {
+  // The HQS reference run()s keep their supports in fixed-width word masks
+  // up to 256 leaves, so a trial on a reused session allocates at most the
+  // returned witness's ElementSet (one heap word vector above 64 leaves).
+  const HQSystem hqs4(4);  // n = 81: two-word supports
+  const HQSystem hqs5(5);  // n = 243: four-word supports
+  const RProbeHQS r_probe_hqs4(hqs4);
+  const IRProbeHQS ir_probe_hqs4(hqs4);
+  const RProbeHQS r_probe_hqs5(hqs5);
+  const IRProbeHQS ir_probe_hqs5(hqs5);
+  const struct {
+    const QuorumSystem* system;
+    const ProbeStrategy* strategy;
+  } cases[] = {{&hqs4, &r_probe_hqs4},
+               {&hqs4, &ir_probe_hqs4},
+               {&hqs5, &r_probe_hqs5},
+               {&hqs5, &ir_probe_hqs5}};
+  for (const auto& c : cases) {
+    const std::size_t n = c.system->universe_size();
+    Rng rng(31);
+    Coloring coloring(n);
+    ProbeSession session(coloring);
+    std::vector<std::uint64_t> greens((n + 63) / 64);
+    std::size_t probes = 0;
+    const auto trial = [&] {
+      sample_iid_coloring_words(greens.data(), 1, n, 0.5, rng);
+      coloring.assign_greens_words(greens.data());
+      session.reset(coloring);
+      const Witness witness = c.strategy->run(session, rng);
+      if (witness.elements.empty()) std::abort();  // keep the result alive
+      probes += session.probe_count();
+    };
+    for (int i = 0; i < 16; ++i) trial();  // warmup
+    constexpr std::size_t kTrials = 512;
+    const std::size_t before = g_allocations.load();
+    for (std::size_t i = 0; i < kTrials; ++i) trial();
+    EXPECT_LE(g_allocations.load() - before, kTrials)
+        << c.strategy->name() << " on " << c.system->name();
+    if (probes == 0) std::abort();
+  }
+}
+
 TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
   // The bit-sliced batch path: sample a batch of masks, load super-blocks
   // into the workspace's BatchTrialBlock, run the strategy's batch kernel,

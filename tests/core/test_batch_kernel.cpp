@@ -49,6 +49,49 @@ TEST(LaneTally, AddEqualsAndGetAgreeWithScalarCounters) {
   for (std::size_t lane = 0; lane < 64; ++lane) EXPECT_EQ(tally.get(lane), 0u);
 }
 
+/// The reference the in-place shuffle replaced: an index permutation of the
+/// window, then a gather -- bit base+j of the result = bit base+perm[j].
+std::vector<std::uint64_t> gather_window(const std::vector<std::uint64_t>& src,
+                                         const std::vector<std::uint32_t>& perm,
+                                         std::size_t base) {
+  std::vector<std::uint64_t> dst = src;
+  for (std::size_t j = 0; j < perm.size(); ++j) {
+    const std::size_t from = base + perm[j], to = base + j;
+    const std::uint64_t bit = (src[from / 64] >> (from % 64)) & 1ULL;
+    dst[to / 64] = (dst[to / 64] & ~(1ULL << (to % 64))) | (bit << (to % 64));
+  }
+  return dst;
+}
+
+TEST(ShuffleMaskBits, MatchesPermutationThenGatherOnTheSameTape) {
+  struct Window {
+    std::size_t n, base, size;
+  };
+  const Window windows[] = {
+      {1, 0, 1},      {2, 0, 2},     {63, 0, 63},    {64, 0, 64},
+      {65, 0, 65},    {130, 0, 130}, {130, 3, 5},    {130, 55, 11},
+      {130, 64, 64},  {130, 66, 12}, {130, 100, 30}, {78, 66, 12},
+  };
+  for (const Window& w : windows) {
+    const std::size_t words = (w.n + 63) / 64;
+    Rng sample_rng(w.n * 1000 + w.base);
+    Rng shuffle_rng(77);
+    Rng reference_rng(77);
+    for (int row = 0; row < 20; ++row) {
+      std::vector<std::uint64_t> src(words);
+      sample_iid_coloring_words(src.data(), 1, w.n, 0.5, sample_rng);
+      std::vector<std::uint64_t> shuffled = src;
+      shuffle_mask_bits(shuffle_rng, shuffled.data(), w.base, w.size);
+      const std::vector<std::uint32_t> perm =
+          reference_rng.permutation(static_cast<std::uint32_t>(w.size));
+      ASSERT_EQ(shuffled, gather_window(src, perm, w.base))
+          << "n " << w.n << " base " << w.base << " size " << w.size
+          << " row " << row;
+    }
+    EXPECT_EQ(shuffle_rng.next_u64(), reference_rng.next_u64()) << w.n;
+  }
+}
+
 TEST(BatchTrialBlock, LoadTransposesAndZeroesUnusedLanes) {
   Rng rng(5);
   std::vector<std::uint64_t> masks(17);

@@ -80,7 +80,7 @@ std::vector<Case> all_cases() {
   add("R_Probe_HQS/Hqs3", hqs3, std::make_shared<RProbeHQS>(*hqs3));
   add("IR_Probe_HQS/Hqs3", hqs3, std::make_shared<IRProbeHQS>(*hqs3));
 
-  auto hqs4 = std::make_shared<HQSystem>(4);  // n = 81: vector supports
+  auto hqs4 = std::make_shared<HQSystem>(4);  // n = 81: two-word supports
   add("IR_Probe_HQS/Hqs4", hqs4, std::make_shared<IRProbeHQS>(*hqs4));
 
   auto cw4 = std::make_shared<CrumblingWall>(CrumblingWall::triang(4));
@@ -90,61 +90,89 @@ std::vector<Case> all_cases() {
   auto cw10 = std::make_shared<CrumblingWall>(CrumblingWall::triang(10));
   add("Probe_CW/Triang10", cw10, std::make_shared<ProbeCW>(*cw10));
   add("R_Probe_CW/Triang10", cw10, std::make_shared<RProbeCW>(*cw10));
+
+  // Multi-word universes: lane rows of 2-4 words, bit swaps across word
+  // boundaries, value planes over deeper trees, W = 2/4 HQS supports.
+  auto maj101 = std::make_shared<MajoritySystem>(101);
+  add("Probe_Maj/Maj101", maj101, std::make_shared<ProbeMaj>(*maj101));
+  add("R_Probe_Maj/Maj101", maj101, std::make_shared<RProbeMaj>(*maj101));
+  add("Random_Order/Maj101", maj101,
+      std::make_shared<RandomOrderProbe>(*maj101));
+
+  auto tree6 = std::make_shared<TreeSystem>(6);  // n = 127
+  add("Probe_Tree/Tree6", tree6, std::make_shared<ProbeTree>(*tree6));
+  add("R_Probe_Tree/Tree6", tree6, std::make_shared<RProbeTree>(*tree6));
+
+  add("Probe_HQS/Hqs4", hqs4, std::make_shared<ProbeHQS>(*hqs4));
+  add("R_Probe_HQS/Hqs4", hqs4, std::make_shared<RProbeHQS>(*hqs4));
+
+  auto hqs5 = std::make_shared<HQSystem>(5);  // n = 243
+  add("Probe_HQS/Hqs5", hqs5, std::make_shared<ProbeHQS>(*hqs5));
+  add("R_Probe_HQS/Hqs5", hqs5, std::make_shared<RProbeHQS>(*hqs5));
+  add("IR_Probe_HQS/Hqs5", hqs5, std::make_shared<IRProbeHQS>(*hqs5));
+
+  // Rows [55, 66) and [66, 78): one straddles the 64-bit word boundary.
+  auto cw12 = std::make_shared<CrumblingWall>(CrumblingWall::triang(12));
+  add("Probe_CW/Triang12", cw12, std::make_shared<ProbeCW>(*cw12));
+  add("R_Probe_CW/Triang12", cw12, std::make_shared<RProbeCW>(*cw12));
   return cases;
 }
 
 TEST(HotPathIdentity, RunBatchAndRunAgreeOnEveryStrategyAndFamily) {
-  const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);
-  for (const Case& c : all_cases()) {
-    const std::size_t n = c.system->universe_size();
-    const std::size_t stride = (n + 63) / 64;
-    const std::size_t trials = 100;
-    std::vector<std::uint64_t> masks(trials * stride);
-    Rng sample_rng(20010826);
-    sample_iid_coloring_words(masks.data(), trials, n, 0.4, sample_rng);
+  for (const SimdIsa isa : {SimdIsa::kOff, SimdIsa::kAuto}) {
+    const SimdKernels& kernels = resolve_simd_kernels(isa);
+    for (const Case& c : all_cases()) {
+      const std::size_t n = c.system->universe_size();
+      const std::size_t stride = (n + 63) / 64;
+      const std::size_t trials = 100;
+      std::vector<std::uint64_t> masks(trials * stride);
+      Rng sample_rng(20010826);
+      sample_iid_coloring_words(masks.data(), trials, n, 0.4, sample_rng);
 
-    // The engine's path for this strategy: the batch kernel where there is
-    // one, otherwise run() on a reused session.
-    std::vector<std::uint32_t> engine_counts;
-    Rng engine_rng(1000);
-    TrialWorkspace ws(n);
-    if (c.strategy->supports_batch(n)) {
-      BatchTrialBlock& block = ws.batch_block();
-      block.configure(kernels, n);
-      for (std::size_t off = 0; off < trials; off += block.lane_capacity()) {
-        const std::size_t lanes =
-            std::min(block.lane_capacity(), trials - off);
-        block.load(masks.data() + off * stride, lanes);
-        c.strategy->run_batch(block, engine_rng);
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-          engine_counts.push_back(block.probe_count(lane));
+      // The engine's path for this strategy: the batch kernel where there is
+      // one, otherwise run() on a reused session.
+      std::vector<std::uint32_t> engine_counts;
+      Rng engine_rng(1000);
+      TrialWorkspace ws(n);
+      if (c.strategy->supports_batch(n)) {
+        BatchTrialBlock& block = ws.batch_block();
+        block.configure(kernels, n);
+        for (std::size_t off = 0; off < trials; off += block.lane_capacity()) {
+          const std::size_t lanes =
+              std::min(block.lane_capacity(), trials - off);
+          block.load(masks.data() + off * stride, lanes);
+          c.strategy->run_batch(block, engine_rng);
+          for (std::size_t lane = 0; lane < lanes; ++lane)
+            engine_counts.push_back(block.probe_count(lane));
+        }
+      } else {
+        for (std::size_t t = 0; t < trials; ++t) {
+          ws.coloring().assign_greens_words(masks.data() + t * stride);
+          ProbeSession& session = ws.begin_trial(ws.coloring());
+          (void)c.strategy->run(session, engine_rng);
+          engine_counts.push_back(
+              static_cast<std::uint32_t>(session.probe_count()));
+        }
       }
-    } else {
+
+      // The reference: a fresh coloring and session per trial.
+      Rng reference_rng(1000);
       for (std::size_t t = 0; t < trials; ++t) {
-        ws.coloring().assign_greens_words(masks.data() + t * stride);
-        ProbeSession& session = ws.begin_trial(ws.coloring());
-        (void)c.strategy->run(session, engine_rng);
-        engine_counts.push_back(
-            static_cast<std::uint32_t>(session.probe_count()));
+        Coloring coloring(n);
+        coloring.assign_greens_words(masks.data() + t * stride);
+        ProbeSession session(coloring);
+        const Witness witness = c.strategy->run(session, reference_rng);
+        ASSERT_EQ(engine_counts[t], session.probe_count())
+            << c.label << " trial " << t << " simd " << simd_isa_name(isa);
+        ASSERT_EQ(validate_witness(*c.system, coloring, witness,
+                                   session.probed()),
+                  "")
+            << c.label << " trial " << t;
       }
+      // Both paths must also have consumed the same randomness.
+      EXPECT_EQ(engine_rng.next_u64(), reference_rng.next_u64())
+          << c.label << " simd " << simd_isa_name(isa);
     }
-
-    // The reference: a fresh coloring and session per trial.
-    Rng reference_rng(1000);
-    for (std::size_t t = 0; t < trials; ++t) {
-      Coloring coloring(n);
-      coloring.assign_greens_words(masks.data() + t * stride);
-      ProbeSession session(coloring);
-      const Witness witness = c.strategy->run(session, reference_rng);
-      ASSERT_EQ(engine_counts[t], session.probe_count())
-          << c.label << " trial " << t;
-      ASSERT_EQ(validate_witness(*c.system, coloring, witness,
-                                 session.probed()),
-                "")
-          << c.label << " trial " << t;
-    }
-    // Both paths must also have consumed the same randomness.
-    EXPECT_EQ(engine_rng.next_u64(), reference_rng.next_u64()) << c.label;
   }
 }
 

@@ -87,6 +87,20 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
 }
 
+TEST(JsonParse, RejectsHostileNestingWithAParseError) {
+  // 100,000 unclosed containers used to recurse until the stack overflowed.
+  EXPECT_THROW(JsonValue::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(JsonValue::parse(objects), std::invalid_argument);
+  // Nesting up to the cap still parses.
+  const std::string deep =
+      std::string(256, '[') + "1" + std::string(256, ']');
+  EXPECT_EQ(JsonValue::parse(deep).kind(), JsonValue::Kind::kArray);
+  EXPECT_THROW(JsonValue::parse("[" + deep + "]"), std::invalid_argument);
+}
+
 TEST(JsonParse, AccessorsRejectKindMismatch) {
   const JsonValue v = JsonValue::parse("{\"a\": 1}");
   EXPECT_THROW(v.as_array(), std::invalid_argument);
